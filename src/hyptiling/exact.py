@@ -1,14 +1,15 @@
 """Exact scalar helpers.
 
-All exact quantities in the package are `fractions.Fraction` values; dyadics
-(m * 2**e) are the subset whose denominator is a power of two.  This module
-provides constructors, dyadic decomposition, logarithms that survive
-arbitrarily large numerators, and the JSON wire form
-{"num": "<decimal>", "den": "<decimal>"}.
+Exact scalars in the package are ints and `fractions.Fraction` values;
+dyadics (m * 2**e) are the subset whose denominator is a power of two.  This
+module provides constructors, logarithms that survive arbitrarily large
+integers, and the JSON wire form {"num": "<decimal>", "den": "<decimal>"},
+written without Python's int-to-str digit limit.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -41,31 +42,6 @@ def pow2(e: int) -> Fraction:
     return Fraction(1, 1 << (-e))
 
 
-def dyadic(mantissa: int, exp2: int) -> Fraction:
-    """mantissa * 2**exp2 exactly."""
-    return mantissa * pow2(exp2)
-
-
-def is_dyadic(x) -> bool:
-    den = exact(x).denominator
-    return den & (den - 1) == 0
-
-
-def dyadic_parts(x) -> tuple[int, int]:
-    """Decompose a dyadic as (odd mantissa, exp2).  Zero maps to (0, 0)."""
-    f = exact(x)
-    if not is_dyadic(f):
-        raise DomainError(f"{f} is not dyadic")
-    num, den = f.numerator, f.denominator
-    if num == 0:
-        return (0, 0)
-    exp = -(den.bit_length() - 1)
-    while num % 2 == 0:
-        num //= 2
-        exp += 1
-    return (num, exp)
-
-
 def log_int(n: int) -> float:
     """Natural log of a positive integer of any size."""
     if n <= 0:
@@ -74,6 +50,23 @@ def log_int(n: int) -> float:
     if shift <= 0:
         return math.log(n)
     return math.log(n >> shift) + shift * _LN2
+
+
+def log_ratio(n: int, d: int) -> float:
+    """Natural log of n / d for positive integers of any size.  Near 1 it is
+    log1p of the correctly rounded (n - d) / d, so small logs keep their
+    relative precision."""
+    if n <= 0 or d <= 0:
+        raise DomainError("log of a non-positive ratio")
+    try:
+        x = n / d
+    except OverflowError:
+        x = math.inf
+    if 0.5 <= x <= 2.0:
+        return math.log1p((n - d) / d)
+    if 0.0 < x < math.inf:
+        return math.log(x)
+    return log_int(n) - log_int(d)
 
 
 def log_fraction(x) -> float:
@@ -112,21 +105,43 @@ def to_float(x) -> float:
         return math.inf if f > 0 else -math.inf
 
 
-def scalar_to_json(x) -> dict:
-    f = exact(x)
-    return {"num": str(f.numerator), "den": str(f.denominator)}
+def reduce_dyadic(x: int, shift: int) -> tuple:
+    """(numerator, denominator) of x / 2**shift in lowest terms, found by
+    stripping common factors of 2 rather than by a gcd."""
+    tz = shift if x == 0 else min((x & -x).bit_length() - 1, shift)
+    return x >> tz, 1 << (shift - tz)
 
 
-def scalar_from_json(obj) -> Fraction:
-    try:
-        return Fraction(int(obj["num"]), int(obj["den"]))
-    except (KeyError, TypeError, ValueError) as err:
-        raise DomainError(f"malformed exact scalar {obj!r}") from err
+def scalar_to_json(x, shift: int = 0) -> dict:
+    """Wire form of an exact scalar, or of the int x over 2**shift."""
+    if shift:
+        num, den = reduce_dyadic(x, shift)
+    else:
+        f = exact(x)
+        num, den = f.numerator, f.denominator
+    return {"num": decimal_string(num), "den": decimal_string(den)}
 
 
-def matrix_to_json(rows) -> list:
-    return [[scalar_to_json(x) for x in row] for row in rows]
+def decimal_string(n: int) -> str:
+    """Decimal digits of an int of any size, without the int-to-str limit:
+    halves of the bits are converted recursively and recombined by exact
+    `decimal` arithmetic (CPython 3.12's _pylong algorithm, faster than str)."""
+    if n.bit_length() <= 2048:  # below any digit limit Python allows
+        return str(n)
+    D = decimal.Decimal
+    powers = {}
 
+    def convert(m, w):
+        if w <= 128:
+            return D(m)
+        half = w >> 1
+        if half not in powers:
+            powers[half] = D(2) ** half
+        hi = m >> half
+        return convert(m - (hi << half), half) + convert(hi, w - half) * powers[half]
 
-def matrix_from_json(rows) -> tuple:
-    return tuple(tuple(scalar_from_json(x) for x in row) for row in rows)
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          traps=[decimal.Inexact])
+    with decimal.localcontext(ctx):
+        digits = str(convert(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits

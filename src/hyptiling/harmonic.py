@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy import integrate
-
 from .errors import DomainError, QuadratureError
 from .exact import exact, log_fraction, to_float
 from .geometry import AffineMap
@@ -77,6 +75,8 @@ def boundary_recover(func, a: float, b: float, y_probe: float = 1e-4,
         raise DomainError(f"empty interval [{a}, {b}]")
     if not (y_probe > 0):
         raise DomainError(f"probe height {y_probe} must be positive")
+    from scipy import integrate
+
     points = None
     if breakpoints is not None:
         points = [p for p in breakpoints if a < p < b]

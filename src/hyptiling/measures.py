@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     BudgetError,
@@ -27,7 +28,7 @@ from .errors import (
     InconclusiveError,
     UnsupportedSchemeError,
 )
-from .exact import log_fraction, matrix_to_json, pow2, to_float
+from .exact import log_ratio, reduce_dyadic, scalar_to_json, to_float
 from .symbolic import SubstitutionModel, as_model, block_type_counts, rule_112_122
 
 TRIANGLE = "triangle"
@@ -47,25 +48,45 @@ def _require_scheme(scheme: str):
 
 @dataclass(frozen=True)
 class TransitionMatrix:
+    """Entry (i, j) is ints[i][j] / 2**shift: shift 0 for the triangle
+    scheme, 2*3**q - 2 for the level-q closed form.  Products multiply the
+    ints and add the shifts, so no gcd is ever taken."""
+
     level: int
     scheme: str
-    rows: tuple  # tuple of tuples of Fraction, rows[i][j]
+    ints: tuple  # tuple of tuples of int, ints[i][j]
+    shift: int = 0
 
     @property
     def r(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
 
-    def entry(self, i: int, j: int) -> Fraction:
+    @cached_property
+    def rows(self) -> tuple:
+        """Exact entries: the ints when shift is 0, else reduced Fractions.
+        Cached; the library never asks, as huge entries cost seconds of gcd."""
+        if self.shift == 0:
+            return self.ints
+        den = 1 << self.shift
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.ints)
+
+    def entry(self, i: int, j: int):
         return self.rows[i][j]
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
 
     def column_sums(self) -> tuple:
-        return tuple(sum(row[j] for row in self.rows) for j in range(self.r))
+        den = 1 << self.shift
+        return tuple(Fraction(sum(col), den) for col in zip(*self.ints))
 
     def strictly_positive(self) -> bool:
-        return all(x > 0 for row in self.rows for x in row)
+        return all(x > 0 for row in self.ints for x in row)
+
+    def entry_bits(self) -> int:
+        """Largest numerator or denominator bit length of the reduced entries."""
+        reduced = (reduce_dyadic(x, self.shift) for row in self.ints for x in row)
+        return max(max(n.bit_length(), d.bit_length()) for n, d in reduced)
 
     def to_json(self) -> dict:
         return {
@@ -73,7 +94,9 @@ class TransitionMatrix:
             "scheme": self.scheme,
             "rows": self.r,
             "cols": self.r,
-            "entries": matrix_to_json(self.rows),
+            "entries": [
+                [scalar_to_json(x, self.shift) for x in row] for row in self.ints
+            ],
         }
 
 
@@ -85,11 +108,7 @@ def transition_matrix(model_like, q: int, scheme: str = TRIANGLE) -> TransitionM
         if q < 0:
             raise DomainError(f"triangle matrices need level >= 0, got {q}")
         cols = [model.children_count_vector(q + 1, j) for j in range(1, model.r + 1)]
-        rows = tuple(
-            tuple(Fraction(cols[j][i]) for j in range(model.r))
-            for i in range(model.r)
-        )
-        return TransitionMatrix(level=q, scheme=scheme, rows=rows)
+        return TransitionMatrix(level=q, scheme=scheme, ints=tuple(zip(*cols)))
     return _paper_matrix(model, q)
 
 
@@ -105,36 +124,31 @@ def _paper_matrix(model, q: int) -> TransitionMatrix:
         raise BudgetError(
             f"level-{q} published matrix needs 2*3**{q}-bit denominators"
         )
-    t = pow2(1 - 3**q)       # 2**(-3**q + 1)
-    s = pow2(2 - 2 * 3**q)   # 2**(-2*3**q + 2)
-    rows = (
-        (1 + t, Fraction(1)),
-        (s, t + s),
-    )
-    return TransitionMatrix(level=q, scheme=PAPER, rows=rows)
+    # ((1 + t, 1), (s, t + s)) with t = 2**(1 - 3**q), s = 2**(2 - 2*3**q),
+    # scaled by 2**shift = 1 / s.
+    shift = 2 * 3**q - 2
+    one, t = 1 << shift, 1 << (3**q - 1)
+    ints = ((one + t, one), (1, t + 1))
+    return TransitionMatrix(level=q, scheme=PAPER, ints=ints, shift=shift)
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _identity_rows(n):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _max_bits(rows) -> int:
-    return max(
-        max(x.numerator.bit_length(), x.denominator.bit_length())
-        for row in rows
-        for x in row
-    )
+def _prefix_products(model, scheme: str, q_from: int, q_to: int):
+    """Yield (q, exact product of the level matrices q_from .. q) for each
+    q in q_from .. q_to-1: the one composition loop of this module."""
+    ints, shift = None, 0
+    for q in range(q_from, q_to):
+        level = transition_matrix(model, q, scheme)
+        if ints is None:
+            ints = level.ints
+        else:
+            cols = tuple(zip(*level.ints))
+            ints = tuple(
+                tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                for row in ints
+            )
+        shift += level.shift
+        yield q, TransitionMatrix(level=q_from, scheme=scheme, ints=ints,
+                                  shift=shift)
 
 
 def compose_range(model_like, scheme: str, q_from: int, q_to: int,
@@ -142,21 +156,22 @@ def compose_range(model_like, scheme: str, q_from: int, q_to: int,
     """Exact product of the level matrices q_from .. q_to-1, left to right.
 
     An empty range gives the identity.  Aborts with a budget error once any
-    entry outgrows bit_budget bits.
+    reduced entry outgrows bit_budget bits.
     """
     _require_scheme(scheme)
     model = as_model(model_like)
     if q_from > q_to:
         raise DomainError(f"reversed level range [{q_from}, {q_to})")
-    rows = _identity_rows(model.r)
-    for q in range(q_from, q_to):
-        rows = _mat_mul(rows, transition_matrix(model, q, scheme).rows)
-        if _max_bits(rows) > bit_budget:
+    identity = tuple(tuple(int(i == j) for j in range(model.r))
+                     for i in range(model.r))
+    product = TransitionMatrix(level=q_from, scheme=scheme, ints=identity)
+    for q, product in _prefix_products(model, scheme, q_from, q_to):
+        if product.entry_bits() > bit_budget:
             raise BudgetError(
                 f"composition through level {q} exceeds the "
                 f"{bit_budget}-bit entry budget"
             )
-    return TransitionMatrix(level=q_from, scheme=scheme, rows=rows)
+    return product
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +187,12 @@ class SimplexVertices:
     vertices: tuple  # tuple of tuples of Fraction, each summing to 1
 
 
-def _normalize_column(col) -> tuple:
-    total = sum(col)
+def _vertex(ray) -> tuple:
+    """The point of the simplex on the ray of a nonnegative integer vector."""
+    total = sum(ray)
     if total == 0:
         raise DegeneracyError("zero column cannot be normalized")
-    return tuple(x / total for x in col)
+    return tuple(Fraction(x, total) for x in ray)
 
 
 def nested_simplex(model_like, scheme: str, n: int, m: int,
@@ -186,11 +202,10 @@ def nested_simplex(model_like, scheme: str, n: int, m: int,
     if m < n:
         raise DomainError(f"depth {m} below base level {n}")
     product = compose_range(model_like, scheme, n, m, bit_budget)
-    columns = [product.column(j) for j in range(product.r)]
     return SimplexVertices(
         base_level=n,
         depth=m,
-        vertices=tuple(_normalize_column(c) for c in columns),
+        vertices=tuple(_vertex(col) for col in zip(*product.ints)),
     )
 
 
@@ -221,21 +236,31 @@ def hilbert_distance(x, y) -> float:
 
 
 def projective_distance(vx, vy) -> float:
-    """Hilbert distance on rays of the positive cone (no simplex validation)."""
-    logs = []
-    for a, b in zip(vx, vy):
-        a_zero, b_zero = a == 0, b == 0
-        if a_zero and b_zero:
+    """Hilbert distance on rays of the positive cone (no simplex validation).
+
+    The extreme ratios x_i / y_i are picked by exact cross multiplication,
+    so exact input is rounded once.  The distance ignores scaling, so
+    integer matrix columns need no normalization.
+    """
+    hi = lo = None
+    for x, y in zip(vx, vy):
+        if x == 0 and y == 0:
             continue
-        if a_zero or b_zero:
+        if x == 0 or y == 0:
             return math.inf
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            logs.append(log_fraction(a / b))
-        else:
-            logs.append(math.log(float(a)) - math.log(float(b)))
-    if not logs:
+        if hi is None:
+            hi = lo = (x, y)
+        elif x * hi[1] > hi[0] * y:
+            hi = (x, y)
+        elif x * lo[1] < lo[0] * y:
+            lo = (x, y)
+    if hi is None:
         raise DegeneracyError("zero vectors have no projective distance")
-    return max(logs) - min(logs)
+    num, den = hi[0] * lo[1], lo[0] * hi[1]
+    if isinstance(num, float) or isinstance(den, float):
+        return math.log(hi[0] / hi[1]) - math.log(lo[0] / lo[1])
+    return log_ratio(num.numerator * den.denominator,
+                     num.denominator * den.numerator)
 
 
 def hilbert_distance_segment(x, y) -> float:
@@ -278,9 +303,7 @@ def projective_diameter(matrix: TransitionMatrix) -> float:
 
     Infinite as soon as two columns have different supports (zero entries).
     """
-    cols = [
-        _normalize_column(matrix.column(j)) for j in range(matrix.r)
-    ]
+    cols = list(zip(*matrix.ints))  # scaled columns: the same rays
     diam = 0.0
     for i in range(len(cols)):
         for j in range(i + 1, len(cols)):
@@ -416,16 +439,14 @@ class ErgodicCount:
         }
 
 
-def _cluster_vertices(vertices, tol: float) -> tuple:
+def _cluster_rays(rays, tol: float) -> tuple:
     clusters = []
-    for idx, vertex in enumerate(vertices):
-        placed = False
+    for idx, ray in enumerate(rays):
         for members in clusters:
-            if projective_distance(vertices[members[0]], vertex) <= tol:
+            if projective_distance(rays[members[0]], ray) <= tol:
                 members.append(idx)
-                placed = True
                 break
-        if not placed:
+        else:
             clusters.append([idx])
     return tuple(tuple(c) for c in clusters)
 
@@ -445,56 +466,39 @@ def ergodic_measure_count(model_like, scheme: str = TRIANGLE,
     model = as_model(model_like)
     if max_depth < base_level + 2:
         raise DomainError("max_depth leaves no room for a consecutive-depth pair")
-    rows = transition_matrix(model, base_level, scheme).rows
-    prev = tuple(
-        _normalize_column(tuple(row[j] for row in rows)) for j in range(model.r)
-    )
-    prev_clusters = _cluster_vertices(prev, tolerance)
-    note = ""
-    depth = base_level + 1
-    for m in range(base_level + 2, max_depth + 1):
-        try:
-            rows = _mat_mul(rows, transition_matrix(model, m - 1, scheme).rows)
-        except BudgetError as err:
-            note = str(err)
-            break
-        if _max_bits(rows) > bit_budget:
-            note = f"entry growth passed the {bit_budget}-bit budget at depth {m}"
-            break
-        cur = tuple(
-            _normalize_column(tuple(row[j] for row in rows))
-            for j in range(model.r)
-        )
-        cur_clusters = _cluster_vertices(cur, tolerance)
-        depth = m
-        if len(cur_clusters) == len(prev_clusters):
-            moved = max(
-                projective_distance(a, b) for a, b in zip(prev, cur)
-            )
+
+    products = _prefix_products(model, scheme, base_level, max_depth)
+    prev = tuple(zip(*next(products)[1].ints))
+    prev_clusters = _cluster_rays(prev, tolerance)
+    note, depth, moved = "", base_level + 1, math.inf
+    try:
+        for q, product in products:
+            if product.entry_bits() > bit_budget:
+                note = f"entry growth passed the {bit_budget}-bit budget at depth {q + 1}"
+                break
+            cur = tuple(zip(*product.ints))
+            cur_clusters = _cluster_rays(cur, tolerance)
+            depth = q + 1
+            moved = math.inf  # a depth whose cluster count changed
+            if len(cur_clusters) == len(prev_clusters):
+                moved = max(projective_distance(a, b) for a, b in zip(prev, cur))
+            prev, prev_clusters = cur, cur_clusters
             if moved <= tolerance:
-                witnesses = tuple(cur[members[0]] for members in cur_clusters)
-                return ErgodicCount(
-                    count=len(cur_clusters),
-                    status="stabilized",
-                    base_level=base_level,
-                    depth=m,
-                    tolerance=tolerance,
-                    max_matched_distance=moved,
-                    clusters=cur_clusters,
-                    witnesses=witnesses,
-                )
-        prev, prev_clusters = cur, cur_clusters
-    witnesses = tuple(prev[members[0]] for members in prev_clusters)
+                break
+    except BudgetError as err:
+        note = str(err)
+    stabilized = moved <= tolerance
     return ErgodicCount(
         count=len(prev_clusters),
-        status="inconclusive",
+        status="stabilized" if stabilized else "inconclusive",
         base_level=base_level,
         depth=depth,
         tolerance=tolerance,
-        max_matched_distance=math.inf,
+        max_matched_distance=moved if stabilized else math.inf,
         clusters=prev_clusters,
-        witnesses=witnesses,
-        note=note or f"no consecutive-depth match within {tolerance} by depth {max_depth}",
+        witnesses=tuple(_vertex(prev[members[0]]) for members in prev_clusters),
+        note="" if stabilized else note or (
+            f"no consecutive-depth match within {tolerance} by depth {max_depth}"),
     )
 
 
@@ -565,8 +569,6 @@ class MassResiduals:
         return all(x == 0 for x in self.residuals)
 
     def to_json(self) -> dict:
-        from .exact import scalar_to_json
-
         return {
             "level": self.level,
             "scheme": self.scheme,
@@ -588,10 +590,7 @@ def mass_conservation_check(model_like, scheme: str, q: int) -> MassResiduals:
     matrix = transition_matrix(model, q, scheme)
     w_low = model.level_length(q)
     w_high = model.level_length(q + 1)
-    residuals = tuple(
-        Fraction(w_high) - sum(matrix.entry(i, j) * w_low for i in range(model.r))
-        for j in range(model.r)
-    )
+    residuals = tuple(Fraction(w_high) - w_low * c for c in matrix.column_sums())
     return MassResiduals(
         level=q,
         scheme=scheme,
@@ -609,8 +608,6 @@ class FrequencyResult:
     frequencies: tuple  # exact Fractions summing to 1
 
     def to_json(self) -> dict:
-        from .exact import scalar_to_json
-
         return {
             "measure": self.measure_index,
             "anchor_letter": self.anchor_letter,

@@ -149,9 +149,6 @@ class ToeplitzModel:
     def r(self) -> int:
         return self.spec.r
 
-    def describe(self) -> dict:
-        return {"family": self.name, "r": self.r, "max_depth": self.spec.max_depth}
-
     def color(self, i: int) -> Letter:
         """Step color s_i = ((i-1) mod r) + 1, for i >= 1."""
         if i < 1:
@@ -288,13 +285,6 @@ class SubstitutionModel:
     def r(self) -> int:
         return self.rule.r
 
-    def describe(self) -> dict:
-        return {
-            "family": self.name,
-            "r": self.r,
-            "images": [word_to_str(w, self.r) for w in self.rule.images],
-        }
-
     def level_length(self, q: int) -> int:
         if q < 0:
             raise DomainError(f"level must be >= 0, got {q}")
@@ -384,10 +374,6 @@ def window(model_like, start: int, stop: int) -> Word:
     if stop < start:
         raise DomainError(f"empty-or-reversed window [{start}, {stop})")
     return tuple(model.letter(q) for q in range(start, stop))
-
-
-def toeplitz_window(spec, start: int, stop: int) -> Word:
-    return window(spec, start, stop)
 
 
 def substitution_image(rule: SubstitutionRule, word, n: int,

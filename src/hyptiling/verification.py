@@ -63,11 +63,11 @@ def check_counting_equivalence(levels=(0, 1, 2)) -> CheckResult:
                     )
                     tiles += cls.count * (2**low - 1)
                 for i in range(model.r):
-                    if tally[i] != matrix.entry(i, j - 1):
+                    if tally[i] != matrix.ints[i][j - 1]:
                         return CheckResult(
                             "counting-equivalence", False,
                             f"{label} level {q} parent {j}: tally {tally[i]} "
-                            f"!= entry {matrix.entry(i, j - 1)}",
+                            f"!= entry {matrix.ints[i][j - 1]}",
                         )
                 if tiles != 2**high - 1:
                     return CheckResult(

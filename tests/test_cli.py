@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, config merging."""
 
 import contextlib
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -127,6 +129,27 @@ class TestMatrices:
         assert [[num(e) for e in row] for row in entries] == [
             [(9, 1), (2, 1)], [(18, 1), (25, 1)],
         ]
+
+    def test_paper_product_under_default_digit_limit(self):
+        """Entries of 160k decimal digits are written without raising
+        Python's int-to-str digit limit."""
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONINTMAXSTRDIGITS"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyptiling", "matrices", "--model",
+             "substitution", "--scheme", "paper", "--from", "1", "--to", "12"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        entries = json.loads(proc.stdout)["schemes"]["paper"]["matrix"]["entries"]
+        digest = hashlib.sha256()
+        for row in entries:
+            for e in row:
+                digest.update(f"{e['num']}/{e['den']};".encode())
+        # Recorded from the reduced Fraction entries of the same product.
+        assert digest.hexdigest() == (
+            "34e0919a20255e97595b8c0b835d707abd3e3b731324390feeaa18f938d7218d"
+        )
 
     def test_level_and_range_conflict(self):
         code, _, err = run(

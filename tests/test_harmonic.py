@@ -1,6 +1,8 @@
 """Boundary measures, harmonic extensions, cylinder masses, transport."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -213,3 +215,14 @@ class TestTransport:
         check = transport_scaling_check(coeff, rect, g)
         assert check.equal
         assert check.alpha == alpha(g)
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy is imported by the calls that need it, not by `import hyptiling`."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hyptiling; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

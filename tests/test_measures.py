@@ -1,6 +1,7 @@
 """Transition matrices, Hilbert-metric contraction, ergodic counting,
 mass conservation, frequencies."""
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from hyptiling import (
     SubstitutionModel,
     SubstitutionRule,
     ToeplitzModel,
+    TransitionMatrix,
     UnsupportedSchemeError,
     atlas_words,
     birkhoff_factor,
@@ -34,6 +36,7 @@ from hyptiling import (
     measure_frequencies,
     nested_simplex,
     projective_diameter,
+    projective_distance,
     transition_matrix,
 )
 
@@ -428,3 +431,202 @@ class TestFrequencies:
     def test_limit_frequencies_need_uniqueness(self):
         with pytest.raises(DomainError):
             limit_frequencies(T2)
+
+
+# ---------------------------------------------------------------------------
+# The integer-plus-shift representation against plain Fraction arithmetic.
+#
+# The references below multiply Fraction matrices and normalize Fraction
+# columns, measuring entry sizes on the reduced rationals: the arithmetic the
+# integer form replaces.  They share no code with measures.py beyond the
+# Fraction route of projective_distance.
+
+
+def fraction_level(model, q, scheme):
+    if scheme == PAPER:
+        t = Fraction(1, 2 ** (3**q - 1))
+        s = Fraction(1, 2 ** (2 * 3**q - 2))
+        return ((1 + t, Fraction(1)), (s, t + s))
+    cols = [model.children_count_vector(q + 1, j) for j in range(1, model.r + 1)]
+    return tuple(
+        tuple(Fraction(cols[j][i]) for j in range(model.r))
+        for i in range(model.r)
+    )
+
+
+def fraction_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def fraction_bits(rows):
+    return max(
+        max(x.numerator.bit_length(), x.denominator.bit_length())
+        for row in rows for x in row
+    )
+
+
+def fraction_compose(model, scheme, q_from, q_to, budget):
+    rows = tuple(
+        tuple(Fraction(int(i == j)) for j in range(model.r))
+        for i in range(model.r)
+    )
+    for q in range(q_from, q_to):
+        rows = fraction_mul(rows, fraction_level(model, q, scheme))
+        if fraction_bits(rows) > budget:
+            raise BudgetError(
+                f"composition through level {q} exceeds the "
+                f"{budget}-bit entry budget"
+            )
+    return rows
+
+
+def fraction_vertices(rows):
+    cols = [tuple(row[j] for row in rows) for j in range(len(rows))]
+    return tuple(tuple(x / sum(c) for x in c) for c in cols)
+
+
+def fraction_clusters(vertices, tol):
+    clusters = []
+    for idx, vertex in enumerate(vertices):
+        for members in clusters:
+            if projective_distance(vertices[members[0]], vertex) <= tol:
+                members.append(idx)
+                break
+        else:
+            clusters.append([idx])
+    return tuple(tuple(c) for c in clusters)
+
+
+def fraction_ergodic(model, scheme, tol=1e-6, max_depth=36, base=1,
+                     budget=10**6):
+    """(count, status, depth, clusters, witnesses, note) by Fractions."""
+    rows = fraction_level(model, base, scheme)
+    prev = fraction_vertices(rows)
+    prev_clusters = fraction_clusters(prev, tol)
+    note, depth = "", base + 1
+    for m in range(base + 2, max_depth + 1):
+        rows = fraction_mul(rows, fraction_level(model, m - 1, scheme))
+        if fraction_bits(rows) > budget:
+            note = f"entry growth passed the {budget}-bit budget at depth {m}"
+            break
+        cur = fraction_vertices(rows)
+        cur_clusters = fraction_clusters(cur, tol)
+        depth = m
+        if len(cur_clusters) == len(prev_clusters):
+            moved = max(projective_distance(a, b) for a, b in zip(prev, cur))
+            if moved <= tol:
+                wit = tuple(cur[c[0]] for c in cur_clusters)
+                return (len(cur_clusters), "stabilized", m, cur_clusters, wit, "")
+        prev, prev_clusters = cur, cur_clusters
+    wit = tuple(prev[c[0]] for c in prev_clusters)
+    note = note or f"no consecutive-depth match within {tol} by depth {max_depth}"
+    return (len(prev_clusters), "inconclusive", depth, prev_clusters, wit, note)
+
+
+def ergodic_tuple(result):
+    return (result.count, result.status, result.depth, result.clusters,
+            result.witnesses, result.note)
+
+
+MODELS = {
+    "sub": SUB,
+    **{f"t{r}": ToeplitzModel.of_rank(r) for r in range(1, 6)},
+}
+
+level_ranges = st.one_of(
+    st.tuples(st.sampled_from(sorted(MODELS)), st.just(TRIANGLE),
+              st.integers(0, 24), st.integers(0, 12)),
+    st.tuples(st.just("sub"), st.just(PAPER),
+              st.integers(1, 7), st.integers(0, 3)),
+).map(lambda t: (MODELS[t[0]], t[1], t[2], t[2] + t[3]))
+
+budgets = st.one_of(st.just(10**6), st.integers(1, 400))
+
+
+def outcome(call):
+    try:
+        return call()
+    except BudgetError as err:
+        return ("budget", str(err))
+
+
+class TestIntegerRepresentation:
+    @given(case=level_ranges, budget=budgets)
+    @settings(max_examples=120, deadline=None)
+    def test_compose_matches_fraction_product(self, case, budget):
+        model, scheme, q_from, q_to = case
+        got = outcome(
+            lambda: compose_range(model, scheme, q_from, q_to, budget).rows)
+        want = outcome(
+            lambda: fraction_compose(model, scheme, q_from, q_to, budget))
+        assert got == want
+
+    @pytest.mark.parametrize("model,scheme", [
+        (ToeplitzModel.of_rank(r), TRIANGLE) for r in (2, 3, 5, 8)
+    ] + [(SUB, TRIANGLE), (SUB, PAPER)],
+        ids=["t2", "t3", "t5", "t8", "sub-triangle", "sub-paper"])
+    def test_ergodic_count_unchanged(self, model, scheme):
+        got = ergodic_measure_count(model, scheme)
+        assert ergodic_tuple(got) == fraction_ergodic(model, scheme)
+
+    @given(name=st.sampled_from(["sub", "t2", "t3"]),
+           scheme=st.sampled_from([TRIANGLE, PAPER]),
+           budget=st.integers(1, 300), max_depth=st.integers(3, 14))
+    @settings(max_examples=60, deadline=None)
+    def test_ergodic_budget_note_unchanged(self, name, scheme, budget,
+                                           max_depth):
+        model = MODELS[name]
+        if scheme == PAPER and name != "sub":
+            scheme = TRIANGLE
+        got = ergodic_measure_count(model, scheme, max_depth=max_depth,
+                                    bit_budget=budget)
+        want = fraction_ergodic(model, scheme, max_depth=max_depth,
+                                budget=budget)
+        assert ergodic_tuple(got) == want
+
+    def test_paper_levels_are_integers_over_one_shift(self):
+        for q in (1, 2, 3):
+            m = transition_matrix(SUB, q, PAPER)
+            assert m.shift == 2 * 3**q - 2
+            assert m.rows == fraction_level(SUB, q, PAPER)
+        assert transition_matrix(T3, 2, TRIANGLE).shift == 0
+
+    def test_paper_product_bits_without_the_exact_view(self):
+        m = compose_range(SUB, PAPER, 1, 12)
+        assert m.entry_bits() == 531417
+        m.to_json()
+        projective_diameter(m)
+        m.column_sums()
+        assert "rows" not in vars(m)  # the Fraction view was never built
+
+    def test_entry_bits_read_the_reduced_entries(self):
+        # 4/4, 8/4, 12/4, 16/4 reduce to 1, 2, 3, 4.
+        m = TransitionMatrix(level=0, scheme=PAPER, ints=((4, 8), (12, 16)),
+                             shift=2)
+        assert m.entry_bits() == 3
+        assert m.rows == ((1, 2), (3, 4))
+
+    def test_view_is_cached(self):
+        m = compose_range(SUB, PAPER, 1, 3)
+        assert m.rows is m.rows
+        assert m.column(1) == tuple(row[1] for row in m.rows)
+
+    @pytest.mark.parametrize("scheme,levels", [
+        (TRIANGLE, range(2, 12)), (PAPER, range(2, 7)),
+    ])
+    def test_diameters_against_high_precision(self, scheme, levels):
+        """Distances near zero keep full relative precision."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 400  # enough for a log of 1 + 1e-107
+            for m in levels:
+                product = compose_range(SUB, scheme, 1, m)
+                ratios = [Fraction(a, b) for a, b in product.ints]
+                q = max(ratios) / min(ratios)
+                want = float((decimal.Decimal(q.numerator)
+                              / decimal.Decimal(q.denominator)).ln())
+                got = projective_diameter(product)
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
