@@ -3,114 +3,72 @@ geometry, invariant-measure machinery, harmonic checks, leafwise diffusion,
 and rendering."""
 
 from .errors import (
-    AlignmentError,
-    BudgetError,
-    CapError,
-    DegeneracyError,
-    DomainError,
-    InconclusiveError,
-    ModelError,
-    QuadratureError,
-    SizeError,
-    TilingError,
+    AlignmentError, BudgetError, CapError, DegeneracyError, DomainError,
+    InconclusiveError, ModelError, QuadratureError, SizeError, TilingError,
     UnsupportedSchemeError,
 )
 from .exact import exact, pow2
 from .geometry import (
-    AffineMap,
-    AnchoredTiling,
-    Occurrence,
-    OccurrenceClass,
-    Patch,
-    TileAddress,
-    agreement_radius,
-    alpha,
-    doubling_map,
-    enumerate_occurrences,
-    hull_distance,
-    identity_map,
-    occurrence_classes,
-    occurrence_table_json,
-    patch_partition_check,
-    shift_map,
-    suspension_project,
-    tile_containing_point,
-    tile_region,
+    AffineMap, AnchoredTiling, Occurrence, OccurrenceClass, Patch, TileAddress,
+    agreement_radius, alpha, doubling_map, enumerate_occurrences,
+    hull_distance, identity_map, occurrence_classes, occurrence_table_json,
+    patch_partition_check, shift_map, suspension_project,
+    tile_containing_point, tile_region,
 )
 from .harmonic import (
-    BoundaryAtoms,
-    TransportCheck,
-    boundary_recover,
-    cylinder_mass,
-    cylinder_mass_exact,
-    herglotz_evaluate,
-    herglotz_evaluator,
-    map_rect,
+    BoundaryAtoms, TransportCheck, boundary_recover, cylinder_mass,
+    cylinder_mass_exact, herglotz_evaluate, herglotz_evaluator, map_rect,
     transport_scaling_check,
 )
 from .measures import (
-    PAPER,
-    TRIANGLE,
-    ContractionReport,
-    ErgodicCount,
-    FrequencyResult,
-    LevelContraction,
-    MassResiduals,
-    SimplexVertices,
-    TransitionMatrix,
-    birkhoff_factor,
-    compose_range,
-    contraction_certificate,
-    ergodic_measure_count,
-    hilbert_distance,
-    hilbert_distance_segment,
-    hull_contains,
-    hull_membership,
-    limit_frequencies,
-    mass_conservation_check,
-    measure_frequencies,
-    nested_simplex,
-    projective_diameter,
-    projective_distance,
-    transition_matrix,
+    PAPER, TRIANGLE, ContractionReport, ErgodicCount, FrequencyResult,
+    LevelContraction, MassResiduals, SimplexVertices, TransitionMatrix,
+    birkhoff_factor, compose_range, contraction_certificate,
+    ergodic_measure_count, hilbert_distance, hilbert_distance_segment,
+    hull_contains, hull_membership, limit_frequencies, mass_conservation_check,
+    measure_frequencies, nested_simplex, projective_diameter,
+    projective_distance, transition_matrix,
 )
 from .diffusion import (
-    DiffusionConfig,
-    LeafState,
-    PathResult,
-    default_start,
-    expected_block_fractions,
-    garnett_compare,
-    height_law_test,
-    log_height_samples,
-    log_height_stats,
-    run_paths,
-    simulate_path,
+    DiffusionConfig, LeafState, PathResult, default_start,
+    expected_block_fractions, garnett_compare, height_law_test,
+    log_height_samples, log_height_stats, run_paths, simulate_path,
 )
 from .render import render_svg
 from .symbolic import (
-    AtlasWord,
-    SubstitutionModel,
-    SubstitutionRule,
-    ToeplitzModel,
-    ToeplitzSpec,
-    atlas_word,
-    atlas_words,
-    block_decompose,
-    block_type_counts,
-    letter_counts,
-    rule_112_122,
-    substitution_fixed_window,
-    substitution_image,
-    toeplitz_letter,
-    toeplitz_letter_step,
-    toeplitz_periods,
-    window,
-    word_from_str,
+    AtlasWord, SubstitutionModel, SubstitutionRule, ToeplitzModel,
+    ToeplitzSpec, atlas_word, atlas_words, block_decompose, block_type_counts,
+    letter_counts, rule_112_122, substitution_image, window, word_from_str,
     word_to_str,
 )
 from .verification import run_all as run_verification
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AlignmentError", "BudgetError", "CapError", "DegeneracyError",
+    "DomainError", "InconclusiveError", "ModelError", "QuadratureError",
+    "SizeError", "TilingError", "UnsupportedSchemeError", "exact", "pow2",
+    "AffineMap", "AnchoredTiling", "Occurrence", "OccurrenceClass", "Patch",
+    "TileAddress", "agreement_radius", "alpha", "doubling_map",
+    "enumerate_occurrences", "hull_distance", "identity_map",
+    "occurrence_classes", "occurrence_table_json", "patch_partition_check",
+    "shift_map", "suspension_project", "tile_containing_point", "tile_region",
+    "BoundaryAtoms", "TransportCheck", "boundary_recover", "cylinder_mass",
+    "cylinder_mass_exact", "herglotz_evaluate", "herglotz_evaluator",
+    "map_rect", "transport_scaling_check", "PAPER", "TRIANGLE",
+    "ContractionReport", "ErgodicCount", "FrequencyResult", "LevelContraction",
+    "MassResiduals", "SimplexVertices", "TransitionMatrix", "birkhoff_factor",
+    "compose_range", "contraction_certificate", "ergodic_measure_count",
+    "hilbert_distance", "hilbert_distance_segment", "hull_contains",
+    "hull_membership", "limit_frequencies", "mass_conservation_check",
+    "measure_frequencies", "nested_simplex", "projective_diameter",
+    "projective_distance", "transition_matrix", "DiffusionConfig", "LeafState",
+    "PathResult", "default_start", "expected_block_fractions",
+    "garnett_compare", "height_law_test", "log_height_samples",
+    "log_height_stats", "run_paths", "simulate_path", "render_svg",
+    "AtlasWord", "SubstitutionModel", "SubstitutionRule", "ToeplitzModel",
+    "ToeplitzSpec", "atlas_word", "atlas_words", "block_decompose",
+    "block_type_counts", "letter_counts", "rule_112_122", "substitution_image",
+    "window", "word_from_str", "word_to_str", "run_verification",
+]

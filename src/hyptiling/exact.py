@@ -72,9 +72,7 @@ def log_ratio(n: int, d: int) -> float:
 def log_fraction(x) -> float:
     """Natural log of a positive rational, safe for huge numerators/denominators."""
     f = exact(x)
-    if f <= 0:
-        raise DomainError("log of a non-positive rational")
-    return log_int(f.numerator) - log_int(f.denominator)
+    return log_ratio(f.numerator, f.denominator)
 
 
 def log2_fraction(x) -> float:

@@ -17,7 +17,9 @@ frequencies) is driven by that interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .errors import AlignmentError, CapError, DomainError, ModelError, SizeError
@@ -212,9 +214,11 @@ class ToeplitzModel:
         """Level-(q-1) labels inside the level-q word `letter`, left to right.
 
         The first and last slots carry the step color s_q; every middle slot
-        repeats the word's own label.
+        repeats the word's own label.  The label None stands for a word not
+        determined within max_depth, whose middle slots stay undetermined.
         """
-        self._check_letter(letter)
+        if letter is not None:
+            self._check_letter(letter)
         if q < 1:
             raise DomainError("children are defined for levels >= 1")
         b = self.branching(q - 1)
@@ -264,7 +268,6 @@ class SubstitutionModel:
         if rule.image(2)[-1] != 2:
             raise ModelError("image of 2 must end with 2 for the left limit")
         self.rule = rule
-        self._letters = {}
         self._counts_cache = {}
 
     @classmethod
@@ -295,9 +298,6 @@ class SubstitutionModel:
 
     def letter(self, position: int) -> Letter:
         """Fixed-point letter at any integer position (negative included)."""
-        cached = self._letters.get(position)
-        if cached is not None:
-            return cached
         length = self.rule.length
         if position >= 0:
             seed, span = 1, 1
@@ -314,7 +314,6 @@ class SubstitutionModel:
             span //= length
             current = self.rule.image(current)[offset // span]
             offset %= span
-        self._letters[position] = current
         return current
 
     def block_letter(self, q: int, block: int) -> Letter:
@@ -353,27 +352,45 @@ def as_model(source):
 # Positional queries
 
 
-def toeplitz_periods(spec: ToeplitzSpec, i: int) -> int:
-    return ToeplitzModel(spec).period(i)
-
-
-def toeplitz_letter(spec, position: int) -> Letter:
-    return as_model(spec).letter(position)
-
-
-def toeplitz_letter_step(spec, position: int) -> tuple:
-    model = as_model(spec)
-    if not isinstance(model, ToeplitzModel):
-        raise DomainError("letter/step queries are a Toeplitz operation")
-    return model.letter_step(position)
-
-
 def window(model_like, start: int, stop: int) -> Word:
-    """Letters at positions start..stop-1 of the model's sequence."""
+    """Letters at positions start..stop-1 of the model's sequence.
+
+    Reads the labels of the aligned level-q blocks covering the window, for
+    the smallest level q whose words are at least as long as the window (or
+    the deepest level a capped model has), and expands them level by level.
+    """
     model = as_model(model_like)
     if stop < start:
         raise DomainError(f"empty-or-reversed window [{start}, {stop})")
-    return tuple(model.letter(q) for q in range(start, stop))
+    q = 0
+    with suppress(CapError):  # level_length raises past a model's max_depth
+        while model.level_length(q) < stop - start:
+            model.level_length(q + 1)
+            q += 1
+    length = model.level_length(q)
+    labels = []
+    for k in range(start // length, -(-stop // length)):
+        try:
+            labels.append(model.block_letter(q, k))
+        except CapError:
+            labels.append(None)  # resolved below, if it reaches the window
+    letters = _expand(model, q, labels, start // length * length, start, stop)
+    if None in letters:
+        model.letter(start + letters.index(None))  # raises the cap error
+    return letters
+
+
+def _expand(model, q: int, labels, first: int, start: int, stop: int) -> Word:
+    """Letters at positions start..stop-1 of the concatenated level-q words
+    `labels`, the first of which begins at position `first`."""
+    for level in range(q, 0, -1):
+        table = {label: model.children(level, label) for label in set(labels)}
+        sub = model.level_length(level - 1)
+        lo = (start - first) // sub
+        hi = -(-(stop - first) // sub)
+        labels = tuple(chain.from_iterable(map(table.__getitem__, labels)))[lo:hi]
+        first += lo * sub
+    return tuple(labels)[start - first:stop - first]
 
 
 def substitution_image(rule: SubstitutionRule, word, n: int,
@@ -395,10 +412,6 @@ def substitution_image(rule: SubstitutionRule, word, n: int,
             grown.extend(rule.image(a))
         current = tuple(grown)
     return current
-
-
-def substitution_fixed_window(rule: SubstitutionRule, start: int, stop: int) -> Word:
-    return window(SubstitutionModel(rule), start, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +449,7 @@ class AtlasWord:
                 f"level-{self.q} word has {self.length} letters, "
                 f"over the cap {max_letters}"
             )
-        letters = [self.letter]
-        for level in range(self.q, 0, -1):
-            grown = []
-            for label in letters:
-                grown.extend(self.model.children(level, label))
-            letters = grown
-        return tuple(letters)
+        return _expand(self.model, self.q, (self.letter,), 0, 0, self.length)
 
 
 @dataclass(frozen=True)

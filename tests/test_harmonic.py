@@ -157,6 +157,11 @@ class TestCylinderMass:
         assert linear == Fraction(1, 3)
         assert ratio == 4
 
+    def test_thin_band_keeps_relative_precision(self):
+        # ln(1 + 1e-20): subtracting two rounded logs of 1e20 gave 0.0
+        mass = cylinder_mass(1, (0, 1, 10**20, 10**20 + 1))
+        assert mass == pytest.approx(1e-20, rel=1e-12)
+
     def test_invalid_rectangles(self):
         with pytest.raises(DomainError):
             cylinder_mass(1, (1, 0, 1, 2))  # inverted x

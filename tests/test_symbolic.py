@@ -2,7 +2,7 @@
 oracle, and the counting identities."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyptiling import (
@@ -20,17 +20,15 @@ from hyptiling import (
     block_type_counts,
     letter_counts,
     rule_112_122,
-    substitution_fixed_window,
     substitution_image,
-    toeplitz_letter,
-    toeplitz_letter_step,
-    toeplitz_periods,
     window,
     word_from_str,
     word_to_str,
 )
 
 RULE = rule_112_122()
+# three letters, length 4: image(1) starts with 1 and image(2) ends with 2
+RULE_3 = SubstitutionRule(((1, 3, 2, 2), (3, 1, 1, 2), (2, 3, 1, 3)))
 
 
 def brute_force_filling(r: int, lo: int, hi: int, max_step: int = 6) -> dict:
@@ -63,30 +61,30 @@ def brute_force_filling(r: int, lo: int, hi: int, max_step: int = 6) -> dict:
 
 class TestPeriods:
     def test_frozen_values(self):
-        spec = ToeplitzSpec(r=2)
-        assert [toeplitz_periods(spec, i) for i in range(6)] == [
+        model = ToeplitzModel(ToeplitzSpec(r=2))
+        assert [model.period(i) for i in range(6)] == [
             3, 3, 9, 81, 2187, 177147,
         ]
 
     def test_recurrence(self):
-        spec = ToeplitzSpec(r=3, max_depth=12)
+        model = ToeplitzModel(ToeplitzSpec(r=3, max_depth=12))
         for i in range(12):
-            assert toeplitz_periods(spec, i + 1) == 3**i * toeplitz_periods(spec, i)
+            assert model.period(i + 1) == 3**i * model.period(i)
 
     def test_depth_cap(self):
-        spec = ToeplitzSpec(r=2, max_depth=4)
-        toeplitz_periods(spec, 4)
+        model = ToeplitzModel(ToeplitzSpec(r=2, max_depth=4))
+        model.period(4)
         with pytest.raises(CapError):
-            toeplitz_periods(spec, 5)
+            model.period(5)
 
 
 class TestToeplitzLetters:
     def test_frozen_positions(self):
-        spec = ToeplitzSpec(r=2)
-        assert toeplitz_letter(spec, 0) == 1
-        assert toeplitz_letter(spec, 1) == 2
-        assert toeplitz_letter(spec, 4) == 1
-        assert toeplitz_letter(spec, -1) == 1
+        model = ToeplitzModel(ToeplitzSpec(r=2))
+        assert model.letter(0) == 1
+        assert model.letter(1) == 2
+        assert model.letter(4) == 1
+        assert model.letter(-1) == 1
 
     def test_frozen_windows(self):
         assert window(ToeplitzModel.of_rank(2), 0, 9) == (1, 2, 1, 1, 1, 1, 1, 2, 1)
@@ -95,12 +93,12 @@ class TestToeplitzLetters:
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_against_construction_oracle(self, r):
-        spec = ToeplitzSpec(r=r)
+        model = ToeplitzModel(ToeplitzSpec(r=r))
         p3 = 81
         oracle = brute_force_filling(r, -p3, p3)
         assert len(oracle) == 2 * p3  # every position is filled by step 6
         for q, (letter, step) in oracle.items():
-            assert toeplitz_letter_step(spec, q) == (letter, step), q
+            assert model.letter_step(q) == (letter, step), q
 
     def test_every_position_defined_by_step_six(self):
         # the full two-sided window of length 2 * p_5, with the cap at 6
@@ -153,19 +151,21 @@ class TestSubstitution:
             substitution_image(RULE, (1,), 20, max_letters=10**6)
 
     def test_fixed_window_examples(self):
-        assert substitution_fixed_window(RULE, -3, 3) == (1, 2, 2, 1, 1, 2)
-        assert substitution_fixed_window(RULE, 0, 1) == (1,)
-        assert substitution_fixed_window(RULE, -1, 0) == (2,)
+        model = SubstitutionModel(RULE)
+        assert window(model, -3, 3) == (1, 2, 2, 1, 1, 2)
+        assert window(model, 0, 1) == (1,)
+        assert window(model, -1, 0) == (2,)
 
     def test_fixed_point_re_expansion(self):
         # applying the rule to w[-n, n) and re-aligning at the dot must give
         # w[-3n, 3n) verbatim
+        model = SubstitutionModel(RULE)
         for n in (1, 4, 9, 27):
-            base = substitution_fixed_window(RULE, -n, n)
+            base = window(model, -n, n)
             grown = tuple(
                 letter for x in base for letter in RULE.image(x)
             )
-            assert grown == substitution_fixed_window(RULE, -3 * n, 3 * n)
+            assert grown == window(model, -3 * n, 3 * n)
 
     def test_rule_validation(self):
         with pytest.raises(DomainError):
@@ -176,14 +176,74 @@ class TestSubstitution:
         with pytest.raises(ModelError):
             SubstitutionModel(bad_seed)
         with pytest.raises(ModelError):
-            substitution_fixed_window(bad_seed, -1, 1)
+            window(bad_seed, -1, 1)  # the rule is coerced into a model
 
     def test_model_letters_match_fixed_window(self):
         model = SubstitutionModel.standard()
-        assert window(model, -9, 9) == substitution_fixed_window(RULE, -9, 9)
+        fresh = SubstitutionModel(RULE)
+        assert window(model, -9, 9) == tuple(fresh.letter(p) for p in range(-9, 9))
+
+
+def _per_letter(model, start, stop):
+    """Reference window: one positional query per letter."""
+    try:
+        return tuple(model.letter(p) for p in range(start, stop))
+    except CapError as exc:
+        return str(exc)
+
+
+MODELS = st.one_of(
+    st.sampled_from([SubstitutionModel.standard(), SubstitutionModel(RULE_3)]),
+    st.builds(ToeplitzModel.of_rank, st.integers(1, 6),
+              st.sampled_from([1, 2, 3, 4, 5, 6, 48])),
+)
+
+
+class TestWindowExpansion:
+    """window() expands level words; it must agree with letter() everywhere."""
+
+    @given(model=MODELS,
+           start=st.one_of(st.integers(-3000, 3000), st.integers(-10**9, 10**9)),
+           length=st.one_of(st.integers(0, 30), st.integers(0, 4000)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_letter_lookup(self, model, start, length):
+        expected = _per_letter(model, start, start + length)
+        try:
+            got = window(model, start, start + length)
+        except CapError as exc:
+            got = str(exc)
+        assert got == expected
+
+    def test_cap_error_inside_a_block_read_with_a_cap(self):
+        # the level-1 block of position 1 is undetermined at max_depth 1,
+        # yet its first letter is fixed by step 1
+        model = ToeplitzModel.of_rank(2, max_depth=1)
+        assert window(model, 0, 1) == (1,)
+        assert window(model, 3, 4) == (1,)
+        with pytest.raises(CapError) as exc:
+            window(model, 0, 5)
+        assert str(exc.value) == _per_letter(model, 0, 5)
+
+    def test_no_per_position_state(self):
+        for model in (SubstitutionModel.standard(), ToeplitzModel.of_rank(3)):
+            assert len(window(model, 0, 10**5)) == 10**5
+            sizes = [len(v) for v in vars(model).values() if hasattr(v, "__len__")]
+            assert max(sizes) <= 49  # per-level state only: max_depth + 1
 
 
 class TestAtlas:
+    @given(model=MODELS, q=st.integers(0, 6), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_word_matches_letter_at(self, model, q, data):
+        try:
+            length = model.level_length(q)
+        except CapError:
+            length = None
+        assume(length is not None and length <= 5000)
+        letter = data.draw(st.integers(1, model.r))
+        handle = atlas_words(model, q).handles[letter - 1]
+        assert handle.word() == tuple(handle.letter_at(k) for k in range(length))
+
     def test_toeplitz_level_words(self):
         t2 = ToeplitzModel.of_rank(2)
         lvl1 = atlas_words(t2, 1)
