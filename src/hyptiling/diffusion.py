@@ -9,28 +9,35 @@ offset, because raw x loses all precision once the walk is thousands of rows
 below the start; the fractional increment exp(u - row*ln2) * sqrt(dt) * xi
 is always O(sqrt(dt)).
 
-Two execution modes share one noise array per path and agree bit for bit:
-"fast" vectorizes the height chain and row occupancy, "full" walks step by
-step and also tracks the column as an arbitrary-precision integer through
-the doubling/halving renormalization at each row crossing.
+Each path draws its noise as two Philox streams, du (stream 0) and dx
+(stream 1), streamed in chunks of CHUNK steps so that memory per path stays
+constant.  The two execution modes share the du stream and agree bit for
+bit: "fast" draws du only and vectorizes the height chain and row occupancy
+chunk by chunk, carrying u across chunks; "full" draws both streams, walks
+step by step and also tracks the column as an arbitrary-precision integer
+through the doubling/halving renormalization at each row crossing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from .errors import CapError, DomainError, SizeError
 from .geometry import tile_containing_point
 from .measures import TRIANGLE, ergodic_measure_count
-from .symbolic import as_model, block_type_counts
+from .symbolic import as_model, block_labels, block_type_counts
 
 LN2 = math.log(2.0)
 
 MAX_STEPS = 10**8
+
+#: Steps of noise drawn at a time; a path holds one chunk per stream.
+CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -135,55 +142,42 @@ class PathResult:
 
     def letter_steps(self, model_like) -> dict:
         """Integer step counts regrouped by row color."""
-        model = as_model(model_like)
-        out = {}
-        for row, steps in self.row_steps.items():
-            letter = model.letter(row)
-            out[letter] = out.get(letter, 0) + steps
-        return out
+        return self.block_steps(model_like, 0)
 
     def block_steps(self, model_like, q: int) -> dict:
         """Step counts regrouped by the level-q block label of each row."""
         model = as_model(model_like)
         length = model.level_length(q)
+        first = min(self.row_steps, default=0) // length
+        labels = block_labels(model, q, first,
+                              max(self.row_steps, default=-1) // length + 1)
         out = {}
         for row, steps in self.row_steps.items():
-            label = model.block_letter(q, row // length)
+            label = labels[row // length - first]
+            if label is None:
+                model.block_letter(q, row // length)  # raises the cap error
             out[label] = out.get(label, 0) + steps
         return out
 
 
-def _path_noise(config: DiffusionConfig, path_index: int):
-    """One (n, 2) standard-normal block per path, identical in every mode."""
-    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(path_index,))
+def _noise(config: DiffusionConfig, path_index: int, stream: int):
+    """Increments of one noise stream, CHUNK steps at a time.
+
+    Stream 0 is the height increment du = sqrt(dt) * xi - dt/2, stream 1 the
+    horizontal dx = sqrt(dt) * xi.  Each stream has its own Philox key, so a
+    mode draws only the streams it reads and both modes see the same du.
+    """
+    seq = np.random.SeedSequence(entropy=config.seed,
+                                 spawn_key=(path_index, stream))
     rng = np.random.Generator(np.random.Philox(seq))
-    draws = rng.standard_normal((config.n_steps, 2))
     sqrt_dt = math.sqrt(config.dt)
-    du = draws[:, 0] * sqrt_dt - config.dt / 2.0
-    dx = draws[:, 1] * sqrt_dt
-    return du, dx
-
-
-class _LetterTable:
-    """Memoized row -> color lookup; None marks rows the model cannot color."""
-
-    def __init__(self, model):
-        self.model = model
-        self.cache = {}
-
-    def get(self, row: int):
-        if row not in self.cache:
-            try:
-                self.cache[row] = self.model.letter(row)
-            except CapError:
-                self.cache[row] = None
-        return self.cache[row]
-
-
-def _trace_indices(steps_used: int, stride: int):
-    if stride <= 0:
-        return ()
-    return tuple(range(0, steps_used + 1, stride))
+    n = config.n_steps
+    for done in range(0, n, CHUNK):
+        draws = rng.standard_normal(min(CHUNK, n - done))
+        draws *= sqrt_dt
+        if stream == 0:
+            draws -= config.dt / 2.0
+        yield draws
 
 
 def simulate_path(config: DiffusionConfig, start: LeafState = None,
@@ -199,82 +193,77 @@ def simulate_path(config: DiffusionConfig, start: LeafState = None,
         raise DomainError(f"unknown mode {mode!r}")
     if start is None:
         start = default_start()
-    if mode == "fast":
-        return _simulate_fast(config, start, path_index)
-    return _simulate_full(config, start, path_index)
+    walk = _walk_fast if mode == "fast" else _walk_full
+    fields = walk(config, start, path_index)
+    occupied = fields["row_steps"]
+    return PathResult(path_index=path_index, mode=mode, dt=config.dt,
+                      n_steps=config.n_steps, u0=start.u,
+                      partial=fields["stop_row"] is not None,
+                      min_row=min(occupied, default=start.row),
+                      max_row=max(occupied, default=start.row), **fields)
 
 
-def _simulate_fast(config: DiffusionConfig, start: LeafState,
-                   path_index: int) -> PathResult:
+def _walk_fast(config: DiffusionConfig, start: LeafState,
+               path_index: int) -> dict:
     n = config.n_steps
-    du, _ = _path_noise(config, path_index)
-    chain = np.empty(n + 1, dtype=np.float64)
-    chain[0] = start.u
-    chain[1:] = du
-    u_path = np.cumsum(chain)
-    rows = np.floor(u_path / LN2).astype(np.int64)
-
-    table = _LetterTable(config.model)
-    steps_used = n
-    partial = False
+    stride = config.trace_stride
+    u, row = start.u, start.row
+    row_steps = {}
+    crossings = 0
+    steps_used = 0
     stop_row = None
-    if n > 0:
-        lo = int(rows.min())
-        hi = int(rows.max())
-        defined = np.array(
-            [table.get(r) is not None for r in range(lo, hi + 1)], dtype=bool
-        )
-        bad = ~defined[rows[:n] - lo]
-        if bad.any():
-            steps_used = int(np.argmax(bad))
-            partial = True
-            stop_row = int(rows[steps_used])
-
-    occupied = rows[:steps_used]
-    if steps_used > 0:
-        base = int(occupied.min())
-        counts = np.bincount(occupied - base)
-        row_steps = {
-            base + i: int(c) for i, c in enumerate(counts) if c
-        }
-        crossings = int(
-            np.sum(np.abs(np.diff(rows[: steps_used + 1])))
-        )
-        min_row = base
-        max_row = int(occupied.max())
-    else:
-        row_steps = {}
-        crossings = 0
-        min_row = max_row = start.row
-
-    trace = tuple(
-        (int(k), float(u_path[k]), int(rows[k]))
-        for k in _trace_indices(steps_used, config.trace_stride)
-    )
-    return PathResult(
-        path_index=path_index,
-        mode="fast",
-        dt=config.dt,
-        n_steps=n,
-        steps_used=steps_used,
-        partial=partial,
-        u0=start.u,
-        u_final=float(u_path[steps_used]),
-        row_final=int(rows[steps_used]),
-        min_row=min_row,
-        max_row=max_row,
-        row_crossings=crossings,
-        row_steps=row_steps,
-        stop_row=stop_row,
-        trace=trace,
-    )
+    trace = []
+    for du in _noise(config, path_index, 0):
+        # Starting the cumsum from u adds in the same order as u + du_k.
+        u_path = np.cumsum(np.concatenate(([u], du)))
+        rows = np.floor(u_path / LN2).astype(np.int64)
+        used = len(du)
+        lo = int(rows[:used].min())
+        labels = block_labels(config.model, 0, lo, int(rows[:used].max()) + 1)
+        if None in labels:
+            colorable = np.array([a is not None for a in labels], dtype=bool)
+            bad = ~colorable[rows[:used] - lo]
+            if bad.any():
+                used = int(np.argmax(bad))
+                stop_row = int(rows[used])
+        if stride > 0:
+            first = -steps_used % stride
+            last = used if stop_row is None else used + 1
+            trace.extend(zip(range(steps_used + first, steps_used + last, stride),
+                             u_path[first:last:stride].tolist(),
+                             rows[first:last:stride].tolist()))
+        counts = np.bincount(rows[:used] - lo)
+        occupied = np.flatnonzero(counts)
+        for r, c in zip((occupied + lo).tolist(), counts[occupied].tolist()):
+            row_steps[r] = row_steps.get(r, 0) + c
+        crossings += int(np.abs(np.diff(rows[: used + 1])).sum())
+        steps_used += used
+        u, row = float(u_path[used]), int(rows[used])
+        if stop_row is not None:
+            break
+    if stride > 0 and stop_row is None and n % stride == 0:
+        trace.append((n, u, row))
+    # Rows in ascending order, as one bincount over the whole path lists them.
+    return dict(steps_used=steps_used, u_final=u, row_final=row,
+                row_crossings=crossings, row_steps=dict(sorted(row_steps.items())),
+                stop_row=stop_row, trace=tuple(trace))
 
 
-def _simulate_full(config: DiffusionConfig, start: LeafState,
-                   path_index: int) -> PathResult:
+def _walk_full(config: DiffusionConfig, start: LeafState,
+               path_index: int) -> dict:
     n = config.n_steps
-    du, dx = _path_noise(config, path_index)
-    table = _LetterTable(config.model)
+    steps = chain.from_iterable(
+        zip(range(done, done + len(du)), du.tolist(), dx.tolist())
+        for done, du, dx in zip(range(0, n, CHUNK),
+                                _noise(config, path_index, 0),
+                                _noise(config, path_index, 1))
+    )
+    colorable = {}
+
+    def is_colorable(r: int) -> bool:
+        if r not in colorable:
+            colorable[r] = block_labels(config.model, 0, r, r + 1)[0] is not None
+        return colorable[r]
 
     u = start.u
     row = start.row
@@ -282,30 +271,24 @@ def _simulate_full(config: DiffusionConfig, start: LeafState,
     frac = start.x_frac
     row_steps = {}
     crossings = 0
-    min_row = max_row = row
-    partial = False
     stop_row = None
     steps_used = n
     trace = []
     stride = config.trace_stride
+    row_ok = is_colorable(row)
+    entered = 0  # the step at which the walk entered the current row
 
-    for k in range(n):
+    for k, du, dx in steps:
         if stride > 0 and k % stride == 0:
             trace.append((k, u, row))
-        if table.get(row) is None:
+        if not row_ok:
             steps_used = k
-            partial = True
             stop_row = row
             break
-        row_steps[row] = row_steps.get(row, 0) + 1
-        if row < min_row:
-            min_row = row
-        elif row > max_row:
-            max_row = row
 
-        u_next = u + du[k]
+        u_next = u + du
         # Horizontal Gaussian move at midpoint height, in current tile widths.
-        frac = frac + math.exp(0.5 * (u + u_next) - row * LN2) * dx[k]
+        frac = frac + math.exp(0.5 * (u + u_next) - row * LN2) * dx
         carry = math.floor(frac)
         if carry != 0:
             col += int(carry)
@@ -314,6 +297,8 @@ def _simulate_full(config: DiffusionConfig, start: LeafState,
         u = u_next
         new_row = math.floor(u / LN2)
         if new_row != row:
+            row_steps[row] = row_steps.get(row, 0) + k + 1 - entered
+            entered = k + 1
             crossings += abs(new_row - row)
             while row > new_row:  # descending: tiles halve, columns double
                 frac *= 2.0
@@ -331,30 +316,15 @@ def _simulate_full(config: DiffusionConfig, start: LeafState,
                     col = (col - 1) // 2
                     frac = (1.0 + frac) / 2.0
                 row += 1
-    if stride > 0 and not partial and n % stride == 0:
+            row_ok = is_colorable(row)
+    if steps_used > entered:
+        row_steps[row] = row_steps.get(row, 0) + steps_used - entered
+    if stride > 0 and stop_row is None and n % stride == 0:
         trace.append((n, u, row))
-
-    if steps_used == 0:
-        min_row = max_row = start.row
-    return PathResult(
-        path_index=path_index,
-        mode="full",
-        dt=config.dt,
-        n_steps=n,
-        steps_used=steps_used,
-        partial=partial,
-        u0=start.u,
-        u_final=u,
-        row_final=row,
-        min_row=min_row,
-        max_row=max_row,
-        row_crossings=crossings,
-        row_steps=row_steps,
-        stop_row=stop_row,
-        col_final=col,
-        x_frac_final=frac,
-        trace=tuple(trace),
-    )
+    return dict(steps_used=steps_used, u_final=u, row_final=row,
+                row_crossings=crossings, row_steps=row_steps,
+                stop_row=stop_row, trace=tuple(trace),
+                col_final=col, x_frac_final=frac)
 
 
 def run_paths(config: DiffusionConfig, mode: str = None) -> list:

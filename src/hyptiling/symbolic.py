@@ -353,39 +353,50 @@ def as_model(source):
 
 
 def window(model_like, start: int, stop: int) -> Word:
-    """Letters at positions start..stop-1 of the model's sequence.
-
-    Reads the labels of the aligned level-q blocks covering the window, for
-    the smallest level q whose words are at least as long as the window (or
-    the deepest level a capped model has), and expands them level by level.
-    """
+    """Letters at positions start..stop-1 of the model's sequence."""
     model = as_model(model_like)
     if stop < start:
         raise DomainError(f"empty-or-reversed window [{start}, {stop})")
-    q = 0
-    with suppress(CapError):  # level_length raises past a model's max_depth
-        while model.level_length(q) < stop - start:
-            model.level_length(q + 1)
-            q += 1
-    length = model.level_length(q)
-    labels = []
-    for k in range(start // length, -(-stop // length)):
-        try:
-            labels.append(model.block_letter(q, k))
-        except CapError:
-            labels.append(None)  # resolved below, if it reaches the window
-    letters = _expand(model, q, labels, start // length * length, start, stop)
+    letters = block_labels(model, 0, start, stop)
     if None in letters:
         model.letter(start + letters.index(None))  # raises the cap error
     return letters
 
 
-def _expand(model, q: int, labels, first: int, start: int, stop: int) -> Word:
-    """Letters at positions start..stop-1 of the concatenated level-q words
-    `labels`, the first of which begins at position `first`."""
-    for level in range(q, 0, -1):
+def block_labels(model, q: int, start: int, stop: int) -> Word:
+    """Labels of the level-q blocks start..stop-1, None where
+    `model.block_letter(q, k)` would raise a cap error.
+
+    Reads the labels of the aligned level-Q blocks covering the range, for
+    the smallest level Q >= q whose blocks are at least as long as the range
+    (or the deepest level a capped model has), and expands them level by
+    level down to q.
+    """
+    unit = model.level_length(q)
+    top = q
+    with suppress(CapError):  # level_length raises past a model's max_depth
+        while model.level_length(top) < (stop - start) * unit:
+            model.level_length(top + 1)
+            top += 1
+    span = model.level_length(top) // unit
+    labels = []
+    for k in range(start // span, -(-stop // span)):
+        try:
+            labels.append(model.block_letter(top, k))
+        except CapError:
+            labels.append(None)  # a block not determined within the cap
+    return _expand(model, top, labels, start // span * span, start, stop, q)
+
+
+def _expand(model, q: int, labels, first: int, start: int, stop: int,
+            bottom: int = 0) -> Word:
+    """Level-`bottom` labels at block positions start..stop-1 of the
+    concatenated level-q words `labels`, the first of which begins at block
+    position `first` (positions count level-`bottom` blocks)."""
+    unit = model.level_length(bottom)
+    for level in range(q, bottom, -1):
         table = {label: model.children(level, label) for label in set(labels)}
-        sub = model.level_length(level - 1)
+        sub = model.level_length(level - 1) // unit
         lo = (start - first) // sub
         hi = -(-(stop - first) // sub)
         labels = tuple(chain.from_iterable(map(table.__getitem__, labels)))[lo:hi]

@@ -2,7 +2,9 @@
 height law, occupancy comparisons."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from hyptiling import (
@@ -22,7 +24,7 @@ from hyptiling import (
     simulate_path,
     tile_containing_point,
 )
-from hyptiling.diffusion import expected_block_fractions
+from hyptiling.diffusion import CHUNK, _noise, expected_block_fractions
 
 SUB = SubstitutionModel.standard()
 
@@ -134,6 +136,76 @@ class TestModeEquivalence:
         assert (tile.row, tile.col) == (res.row_final, res.col_final)
 
 
+class TestChunkedNoise:
+    """Noise is streamed in CHUNK-step pieces; chunk edges must not show."""
+
+    SHARED = ("u_final", "row_final", "steps_used", "partial", "stop_row",
+              "row_steps", "row_crossings", "min_row", "max_row", "trace")
+
+    def test_modes_agree_across_chunks(self):
+        # 150,000 steps are three chunks; the stride does not divide CHUNK
+        cfg = DiffusionConfig(SUB, dt=1e-3, horizon=150.0, seed=8,
+                              trace_stride=7919)
+        assert cfg.n_steps > 2 * CHUNK
+        fast = simulate_path(cfg, mode="fast")
+        full = simulate_path(cfg, mode="full")
+        for name in self.SHARED:
+            assert getattr(fast, name) == getattr(full, name), name
+        assert [k for k, _, _ in fast.trace] == list(range(0, cfg.n_steps, 7919))
+        assert list(fast.row_steps) == sorted(fast.row_steps)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_truncation_after_the_first_chunk(self, seed):
+        # depth-3 filling leaves row -14 uncolored; the walk needs more than
+        # one chunk of dt=1e-4 steps to drift down to it
+        shallow = ToeplitzModel.of_rank(2, max_depth=3)
+        cfg = DiffusionConfig(shallow, dt=1e-4, horizon=40.0, seed=seed,
+                              trace_stride=7919)
+        fast = simulate_path(cfg, mode="fast")
+        full = simulate_path(cfg, mode="full")
+        assert fast.partial and fast.steps_used > CHUNK
+        for name in self.SHARED:
+            assert getattr(fast, name) == getattr(full, name), name
+        assert fast.stop_row == -14
+
+    def test_trace_ends_at_the_stop_state(self):
+        shallow = ToeplitzModel.of_rank(2, max_depth=1)
+        cfg = DiffusionConfig(shallow, dt=1e-2, horizon=5.0, seed=3,
+                              trace_stride=1)
+        fast = simulate_path(cfg, mode="fast")
+        full = simulate_path(cfg, mode="full")
+        assert fast.partial and fast.trace == full.trace
+        assert fast.trace[-1] == (fast.steps_used, fast.u_final, fast.stop_row)
+
+    @pytest.mark.parametrize("stream, drift", [(0, 1e-3 / 2.0), (1, 0.0)])
+    def test_chunks_concatenate_to_one_draw(self, stream, drift):
+        cfg = DiffusionConfig(SUB, dt=1e-3, horizon=150.0, seed=5)
+        chunks = list(_noise(cfg, 3, stream))
+        n = cfg.n_steps
+        assert [len(c) for c in chunks] == [CHUNK, CHUNK, n - 2 * CHUNK]
+        key = np.random.SeedSequence(entropy=5, spawn_key=(3, stream))
+        draws = np.random.Generator(np.random.Philox(key)).standard_normal(n)
+        expected = draws * math.sqrt(1e-3) - drift
+        assert np.array_equal(np.concatenate(chunks), expected)
+
+
+class TestBoundedMemory:
+    """Peak traced allocation of one path stays flat in the step count."""
+
+    @pytest.mark.parametrize("mode, horizon", [("fast", 5000.0),
+                                               ("full", 1000.0)])
+    def test_peak_allocation(self, mode, horizon):
+        cfg = DiffusionConfig(SUB, dt=1e-3, horizon=horizon, seed=2)
+        tracemalloc.start()
+        try:
+            res = simulate_path(cfg, mode=mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.steps_used == cfg.n_steps == round(horizon * 1000)
+        assert peak < 16 * 2**20
+
+
 class TestOccupancy:
     def test_row_steps_sum_to_steps_used(self):
         cfg = DiffusionConfig(SUB, dt=1e-3, horizon=3.0, seed=9)
@@ -155,6 +227,18 @@ class TestOccupancy:
         cfg = DiffusionConfig(SUB, dt=1e-3, horizon=2.0, seed=4)
         res = simulate_path(cfg)
         assert res.block_steps(SUB, 0) == res.letter_steps(SUB)
+
+    def test_undetermined_block_raises_its_cap_error(self):
+        capped = ToeplitzModel.of_rank(2, max_depth=2)
+        res = simulate_path(DiffusionConfig(capped, dt=1e-2, horizon=1.0,
+                                            seed=0))
+        assert not res.partial
+        first = next(iter(res.row_steps)) // capped.level_length(2)
+        with pytest.raises(CapError) as expected:
+            capped.block_letter(2, first)
+        with pytest.raises(CapError) as got:
+            res.block_steps(capped, 2)
+        assert str(got.value) == str(expected.value)
 
     def test_rank_one_spends_everything_on_one_color(self):
         cfg = DiffusionConfig(ToeplitzModel.of_rank(1), dt=1e-2, horizon=3.0,

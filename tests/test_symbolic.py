@@ -1,6 +1,8 @@
 """Sequence-layer tests: frozen examples, an independent construction
 oracle, and the counting identities."""
 
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from hyptiling import (
     word_from_str,
     word_to_str,
 )
+from hyptiling.symbolic import block_labels
 
 RULE = rule_112_122()
 # three letters, length 4: image(1) starts with 1 and image(2) ends with 2
@@ -229,6 +232,34 @@ class TestWindowExpansion:
             assert len(window(model, 0, 10**5)) == 10**5
             sizes = [len(v) for v in vars(model).values() if hasattr(v, "__len__")]
             assert max(sizes) <= 49  # per-level state only: max_depth + 1
+
+
+class TestBlockLabels:
+    """block_labels() is block_letter() over a range, None for cap errors."""
+
+    @given(model=MODELS, q=st.integers(0, 3),
+           start=st.one_of(st.integers(-3000, 3000), st.integers(-10**9, 10**9)),
+           length=st.one_of(st.integers(0, 30), st.integers(0, 2000)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_block_lookup(self, model, q, start, length):
+        try:
+            model.level_length(q)
+        except CapError as exc:  # a level past a capped model's depth
+            with pytest.raises(CapError, match=re.escape(str(exc))):
+                block_labels(model, q, start, start + length)
+            return
+        expected = []
+        for k in range(start, start + length):
+            try:
+                expected.append(model.block_letter(q, k))
+            except CapError:
+                expected.append(None)
+        assert block_labels(model, q, start, start + length) == tuple(expected)
+
+    def test_undetermined_blocks_are_none(self):
+        model = ToeplitzModel.of_rank(2, max_depth=1)
+        assert block_labels(model, 0, -3, 3) == (1, None, 1, 1, None, 1)
+        assert block_labels(model, 1, 0, 3) == (None, None, None)
 
 
 class TestAtlas:
