@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-import numpy as np
-
 from .errors import CapError, DomainError, SizeError
 from .geometry import tile_containing_point
 from .measures import TRIANGLE, ergodic_measure_count
@@ -35,6 +33,8 @@ from .symbolic import as_model, block_labels, block_type_counts
 LN2 = math.log(2.0)
 
 MAX_STEPS = 10**8
+#: Trace points kept over all paths of a run (about 160 bytes each).
+MAX_TRACE_POINTS = 10**6
 
 #: Steps of noise drawn at a time; a path holds one chunk per stream.
 CHUNK = 2**16
@@ -64,6 +64,13 @@ class DiffusionConfig:
             raise SizeError(
                 f"{self.n_steps} steps exceeds the {MAX_STEPS} step cap"
             )
+        if self.trace_stride > 0:
+            points = self.paths * (self.n_steps // self.trace_stride + 1)
+            if points > MAX_TRACE_POINTS:
+                raise SizeError(
+                    f"{points} trace points exceeds the {MAX_TRACE_POINTS} "
+                    "point cap; raise the trace stride"
+                )
 
     @property
     def n_steps(self) -> int:
@@ -167,6 +174,8 @@ def _noise(config: DiffusionConfig, path_index: int, stream: int):
     horizontal dx = sqrt(dt) * xi.  Each stream has its own Philox key, so a
     mode draws only the streams it reads and both modes see the same du.
     """
+    import numpy as np
+
     seq = np.random.SeedSequence(entropy=config.seed,
                                  spawn_key=(path_index, stream))
     rng = np.random.Generator(np.random.Philox(seq))
@@ -205,6 +214,8 @@ def simulate_path(config: DiffusionConfig, start: LeafState = None,
 
 def _walk_fast(config: DiffusionConfig, start: LeafState,
                path_index: int) -> dict:
+    import numpy as np
+
     n = config.n_steps
     stride = config.trace_stride
     u, row = start.u, start.row
@@ -337,11 +348,13 @@ def run_paths(config: DiffusionConfig, mode: str = None) -> list:
 # Height-law statistics
 
 
-def log_height_samples(results) -> np.ndarray:
+def log_height_samples(results) -> "numpy.ndarray":
     """Drift-compensated terminal displacements, one per complete path.
 
     Each sample is u_T - u_0 + T/2 and is exactly N(0, T) in law.
     """
+    import numpy as np
+
     vals = [
         r.displacement + r.steps_used * r.dt / 2.0 for r in results if not r.partial
     ]
@@ -355,8 +368,8 @@ def log_height_stats(results) -> dict:
             f"need at least 30 complete paths, got {len(samples)}"
         )
     horizon = max(r.time_elapsed for r in results if not r.partial)
-    mean = float(np.mean(samples))
-    var = float(np.var(samples, ddof=1)) if len(samples) > 1 else 0.0
+    mean = float(samples.mean())
+    var = float(samples.var(ddof=1)) if len(samples) > 1 else 0.0
     return {
         "paths": int(len(samples)),
         "horizon": horizon,
@@ -419,6 +432,8 @@ def garnett_compare(config: DiffusionConfig, q: int = 0,
     When the measure count is not one there is no single expected vector and
     the comparison columns are left empty with an explanatory note.
     """
+    import numpy as np
+
     model = config.model
     if results is None:
         results = run_paths(config)

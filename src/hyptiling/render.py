@@ -6,6 +6,13 @@ geodesics, circular arcs centered on the boundary axis, flattened to
 polylines by recursive bisection until the sagitta drops below a screen-unit
 tolerance.  Vertical edges are already geodesics and stay straight.
 
+Every tile of row r is the translate x -> x + n * 2**r of the row's column-0
+tile, so the arcs are flattened once per row and stored as offsets from
+their centers; tile n adds its offset to each center.  Centers and corners
+are exact dyadic floats, so each point is the sum a per-tile flattening
+gives.  Heights are formatted once per row.  The SVG is written as text, one
+row at a time, once every size and level check has passed.
+
 The output coordinate system maps the requested world window onto a fixed
 pixel width; content outside the window is clipped by the viewBox.
 """
@@ -13,7 +20,6 @@ pixel width; content outside the window is clipped by the viewBox.
 from __future__ import annotations
 
 import math
-import xml.etree.ElementTree as ET
 
 from .errors import CapError, DomainError, SizeError
 from .symbolic import as_model
@@ -27,55 +33,63 @@ DEFAULT_PALETTE = (
 UNCOLORED = "#d4d4d4"
 OVERLAY_STROKES = ("#1a1a1a", "#b10026", "#08306b", "#54278f")
 
+# ElementTree's attribute escapes, plus a doubled % for the row template.
+_FILL_ESCAPES = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+    "\r": "&#13;", "\n": "&#10;", "\t": "&#09;", "%": "%%",
+})
 
-def _arc_points(xa: float, xb: float, y: float, tol_world: float) -> list:
-    """Polyline for the geodesic from (xa, y) to (xb, y), endpoint included,
-    start point excluded."""
+
+def _arc_points(xa: float, xb: float, y: float, tol_world: float) -> tuple:
+    """Flatten the geodesic from (xa, y) to (xb, y) by bisection.
+
+    Returns the arc's center and its polyline after the start point, endpoint
+    included, as (x offset from the center, height) pairs.  The endpoint is
+    exactly (xb - center, y).
+    """
     center = (xa + xb) / 2.0
     radius = math.hypot((xb - xa) / 2.0, y)
-
-    def angle(px):
-        return math.atan2(y, px - center)
-
-    def on_arc(theta):
-        return (center + radius * math.cos(theta), radius * math.sin(theta))
-
     out = []
 
-    def recurse(t1, p1, t2, p2, depth):
+    def recurse(t1, p1, t2, p2, depth):  # points are (x, y, x - center)
         tm = (t1 + t2) / 2.0
-        pm = on_arc(tm)
-        chord_mid = ((p1[0] + p2[0]) / 2.0, (p1[1] + p2[1]) / 2.0)
-        err = math.hypot(pm[0] - chord_mid[0], pm[1] - chord_mid[1])
+        dx = radius * math.cos(tm)
+        pm = (center + dx, radius * math.sin(tm), dx)
+        err = math.hypot(pm[0] - (p1[0] + p2[0]) / 2.0,
+                         pm[1] - (p1[1] + p2[1]) / 2.0)
         if err <= tol_world or depth >= 16:
-            out.append(p2)
+            out.append((p2[2], p2[1]))
             return
         recurse(t1, p1, tm, pm, depth + 1)
         recurse(tm, pm, t2, p2, depth + 1)
 
-    recurse(angle(xa), (xa, y), angle(xb), (xb, y), 0)
-    return out
+    recurse(math.atan2(y, xa - center), (xa, y, xa - center),
+            math.atan2(y, xb - center), (xb, y, xb - center), 0)
+    return center, out
 
 
-def _tile_outline(x0: float, x1: float, y0: float, y1: float,
-                  tol_world: float) -> list:
-    """World-coordinate polyline around one pentagon, closed implicitly."""
-    mid = (x0 + x1) / 2.0
-    pts = [(x0, y0)]
-    pts.extend(_arc_points(x0, mid, y0, tol_world))
-    pts.extend(_arc_points(mid, x1, y0, tol_world))
-    pts.append((x1, y1))
-    pts.extend(_arc_points(x1, x0, y1, tol_world))
-    return pts
+def _row_outline(width: float, tol_world: float) -> list:
+    """The closed outline of the row's column-0 pentagon as (center, x offset,
+    y) points; tile n's points are (n * width + center + offset, y)."""
+    y0, y1 = width, 2.0 * width
+    half = width / 2.0
+    arcs = [(0.0, [(0.0, y0)]), _arc_points(0.0, half, y0, tol_world),
+            _arc_points(half, width, y0, tol_world), (width, [(0.0, y1)]),
+            _arc_points(width, 0.0, y1, tol_world)]
+    return [(c, dx, y) for c, arc in arcs for dx, y in arc]
 
 
-def _path_data(points, to_screen) -> str:
-    cmds = []
-    for i, (wx, wy) in enumerate(points):
-        sx, sy = to_screen(wx, wy)
-        cmds.append(f"{'M' if i == 0 else 'L'}{sx:.4f},{sy:.4f}")
-    cmds.append("Z")
-    return " ".join(cmds)
+def _row_paths(width, n_lo, n_hi, fill, tol_world, x_min, y_hi, scale):
+    """The path elements of tiles n_lo..n_hi-1 of the row of this width;
+    fill comes escaped for the format template."""
+    points = _row_outline(width, tol_world)
+    d = " L".join(f"%.4f,{(y_hi - y) * scale:.4f}" for _, _, y in points)
+    template = f'<path fill-opacity="0.75" d="M{d} Z" fill="{fill}" />'
+    offsets = [(c, dx) for c, dx, _ in points]
+    for n in range(n_lo, n_hi):
+        base = n * width
+        yield template % tuple(
+            [(base + c + dx - x_min) * scale for c, dx in offsets])
 
 
 def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
@@ -110,85 +124,58 @@ def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
     height_px = (y_hi - y_lo) * scale
     tol_world = tol / scale
 
-    def to_screen(wx, wy):
-        return ((wx - x_min) * scale, (y_hi - wy) * scale)
-
-    svg = ET.Element(
-        "svg",
-        xmlns="http://www.w3.org/2000/svg",
-        width=f"{width_px:.2f}",
-        height=f"{max(height_px, 1.0):.2f}",
-        viewBox=f"0 0 {width_px:.2f} {max(height_px, 1.0):.2f}",
-    )
-    ET.SubElement(
-        svg, "rect", x="0", y="0",
-        width=f"{width_px:.2f}", height=f"{max(height_px, 1.0):.2f}",
-        fill="#ffffff",
-    )
-
     drawn = 0
-    if has_rows:
-        tile_group = ET.SubElement(
-            svg, "g", attrib={"stroke": "#333333", "stroke-width": "0.8"}
-        )
-        for row in range(row_lo, row_hi + 1):
-            width = math.ldexp(1.0, row)
-            y0, y1 = width, 2.0 * width
-            if y1 <= y_lo or y0 >= y_hi:
-                continue
-            n_lo = math.floor(x_min / width)
-            n_hi = math.ceil(x_max / width)
-            if (n_hi - n_lo) + drawn > MAX_TILES:
-                raise SizeError(
-                    f"window holds more than {MAX_TILES} tiles; "
-                    "shrink the x-range or raise the lowest row"
-                )
-            fill = UNCOLORED
-            if model is not None:
-                try:
-                    letter = model.letter(row)
-                    fill = colors[(letter - 1) % len(colors)]
-                except CapError:
-                    fill = UNCOLORED
-            for n in range(n_lo, n_hi):
-                outline = _tile_outline(
-                    n * width, (n + 1) * width, y0, y1, tol_world
-                )
-                ET.SubElement(
-                    tile_group, "path",
-                    d=_path_data(outline, to_screen),
-                    fill=fill,
-                    attrib={"fill-opacity": "0.75"},
-                )
-                drawn += 1
-
-    for idx, q in enumerate(overlay_levels):
-        q = int(q)
+    bands = []  # (width, n_lo, n_hi, fill) of each row the clip keeps
+    for row in range(row_lo, row_hi + 1):
+        width = math.ldexp(1.0, row)
+        if 2.0 * width <= y_lo or width >= y_hi:
+            continue
+        n_lo = math.floor(x_min / width)
+        n_hi = math.ceil(x_max / width)
+        drawn += n_hi - n_lo
+        if drawn > MAX_TILES:
+            raise SizeError(
+                f"window holds more than {MAX_TILES} tiles; "
+                "shrink the x-range or raise the lowest row"
+            )
+        fill = UNCOLORED
+        if model is not None:
+            try:
+                fill = colors[(model.letter(row) - 1) % len(colors)]
+            except CapError:
+                pass
+        bands.append((width, n_lo, n_hi, fill.translate(_FILL_ESCAPES)))
+    levels = []
+    for q in map(int, overlay_levels):
         if q < 1:
             raise DomainError(f"overlay level {q} must be at least 1")
-        if not has_rows:
-            continue
-        stroke = OVERLAY_STROKES[idx % len(OVERLAY_STROKES)]
-        group = ET.SubElement(
-            svg, "g", attrib={
-                "stroke": stroke, "stroke-width": "1.6", "fill": "none",
-            },
-        )
-        apex = row_hi
-        while apex >= row_lo:
-            h = math.ldexp(1.0, apex)
-            top = 2.0 * h
-            bottom = math.ldexp(1.0, apex - q + 1)
-            n_lo = math.floor(x_min / h)
-            n_hi = math.ceil(x_max / h)
-            for n in range(n_lo, n_hi):
-                sx0, sy0 = to_screen(n * h, top)
-                sx1, sy1 = to_screen((n + 1) * h, bottom)
-                ET.SubElement(
-                    group, "rect",
-                    x=f"{sx0:.4f}", y=f"{sy0:.4f}",
-                    width=f"{sx1 - sx0:.4f}", height=f"{sy1 - sy0:.4f}",
-                )
-            apex -= q
-    ET.ElementTree(svg).write(out_path, encoding="utf-8", xml_declaration=True)
+        levels.append(q)
+
+    size = f'width="{width_px:.2f}" height="{max(height_px, 1.0):.2f}"'
+    with open(out_path, "w", encoding="utf-8",
+              errors="xmlcharrefreplace") as out:
+        out.write("<?xml version='1.0' encoding='utf-8'?>\n"
+                  f'<svg xmlns="http://www.w3.org/2000/svg" {size} viewBox="0 0 '
+                  f'{width_px:.2f} {max(height_px, 1.0):.2f}">'
+                  f'<rect x="0" y="0" {size} fill="#ffffff" />')
+        if has_rows:
+            out.write('<g stroke="#333333" stroke-width="0.8"'
+                      + (">" if bands else " />"))
+            for band in bands:
+                out.writelines(_row_paths(*band, tol_world, x_min, y_hi, scale))
+            out.write("</g>" if bands else "")
+        for idx, q in enumerate(levels if has_rows else ()):
+            stroke = OVERLAY_STROKES[idx % len(OVERLAY_STROKES)]
+            out.write(f'<g stroke="{stroke}" stroke-width="1.6" fill="none">')
+            for apex in range(row_hi, row_lo - 1, -q):
+                h = math.ldexp(1.0, apex)
+                sy0 = (y_hi - 2.0 * h) * scale
+                sy1 = (y_hi - math.ldexp(1.0, apex - q + 1)) * scale
+                for n in range(math.floor(x_min / h), math.ceil(x_max / h)):
+                    sx0 = (n * h - x_min) * scale
+                    sx1 = ((n + 1) * h - x_min) * scale
+                    out.write(f'<rect x="{sx0:.4f}" y="{sy0:.4f}" width='
+                              f'"{sx1 - sx0:.4f}" height="{sy1 - sy0:.4f}" />')
+            out.write("</g>")
+        out.write("</svg>")
     return drawn

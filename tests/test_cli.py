@@ -284,6 +284,16 @@ class TestDiffuse:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
 
+    def test_trace_cap_exits_before_any_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("hyptiling.diffusion.simulate_path",
+                            lambda *args: calls.append(args))
+        code, stdout, err = run(["diffuse", "--model", "substitution",
+                                 "--stride", "1"])
+        assert code == 5
+        assert stdout == "" and "trace points exceeds" in err
+        assert calls == []
+
     def test_all_partial_paths_exit(self):
         code, _, err = run(
             ["diffuse", "--model", "toeplitz", "--max-depth", "1",

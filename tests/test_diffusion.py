@@ -24,7 +24,12 @@ from hyptiling import (
     simulate_path,
     tile_containing_point,
 )
-from hyptiling.diffusion import CHUNK, _noise, expected_block_fractions
+from hyptiling.diffusion import (
+    CHUNK,
+    MAX_TRACE_POINTS,
+    _noise,
+    expected_block_fractions,
+)
 
 SUB = SubstitutionModel.standard()
 
@@ -48,6 +53,19 @@ class TestConfig:
             DiffusionConfig(SUB, paths=0)
         with pytest.raises(SizeError):
             DiffusionConfig(SUB, dt=1e-9, horizon=1000.0)
+
+    def test_trace_cap(self):
+        # CLI defaults: 50 paths of 2 * 10^6 steps, every step traced
+        with pytest.raises(SizeError, match="100000050 trace points"):
+            DiffusionConfig(SUB, trace_stride=1)
+        # one path of n steps keeps n + 1 points
+        DiffusionConfig(SUB, dt=1.0, horizon=MAX_TRACE_POINTS - 1.0, paths=1,
+                        trace_stride=1)
+        with pytest.raises(SizeError):
+            DiffusionConfig(SUB, dt=1.0, horizon=float(MAX_TRACE_POINTS),
+                            paths=1, trace_stride=1)
+        DiffusionConfig(SUB, trace_stride=200)  # 50 * 10,001 points
+        DiffusionConfig(SUB, dt=1.0, horizon=1e7, trace_stride=0)
 
     def test_model_coercion(self):
         cfg = DiffusionConfig(ToeplitzModel.of_rank(2).spec)

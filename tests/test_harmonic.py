@@ -231,3 +231,16 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    """numpy, scipy and the XML and URL libraries load only when a call
+    needs them, so commands that never use them start quickly."""
+    heavy = ("numpy", "scipy", "xml.etree", "urllib.request")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, hyptiling; print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,9 +1,12 @@
 """SVG rendering: tile counts, geodesic arc flattening, overlays."""
 
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyptiling import (
     DomainError,
@@ -12,7 +15,7 @@ from hyptiling import (
     ToeplitzModel,
     render_svg,
 )
-from hyptiling.render import UNCOLORED, _arc_points
+from hyptiling.render import UNCOLORED, _arc_points, _row_outline
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 SUB = SubstitutionModel.standard()
@@ -32,33 +35,63 @@ def svg_rects(path):
     ]
 
 
+def arc(xa, xb, y, tol_world):
+    """The flattened arc in world coordinates, start point excluded."""
+    center, offsets = _arc_points(xa, xb, y, tol_world)
+    return [(center + dx, py) for dx, py in offsets]
+
+
+def sagittas(points, xa, xb, y):
+    """Distance from each chord's midpoint to the geodesic through
+    (xa, y) and (xb, y)."""
+    cx, radius = (xa + xb) / 2, math.hypot((xb - xa) / 2, y)
+    for (ax, ay), (bx, by) in zip(points, points[1:]):
+        mx, my = (ax + bx) / 2, (ay + by) / 2
+        yield abs(radius - math.hypot(mx - cx, my))
+
+
 class TestArcFlattening:
     def test_points_stay_on_the_circle(self):
         xa, xb, y = 0.0, 1.0, 1.0
         cx = 0.5
         radius = math.hypot(0.5, 1.0)
-        pts = _arc_points(xa, xb, y, tol_world=1e-4)
+        pts = arc(xa, xb, y, tol_world=1e-4)
         for px, py in pts:
             assert math.hypot(px - cx, py) == pytest.approx(radius, rel=1e-12)
 
     def test_endpoint_is_exact(self):
-        pts = _arc_points(2.0, 4.0, 2.0, tol_world=1e-3)
+        pts = arc(2.0, 4.0, 2.0, tol_world=1e-3)
         assert pts[-1] == (4.0, 2.0)
 
     def test_flatness_bound(self):
         xa, xb, y = 0.0, 8.0, 8.0
-        cx, radius = 4.0, math.hypot(4.0, 8.0)
         tol = 1e-3
-        pts = [(xa, y)] + _arc_points(xa, xb, y, tol_world=tol)
-        for (ax, ay), (bx, by) in zip(pts, pts[1:]):
-            mx, my = (ax + bx) / 2, (ay + by) / 2
-            sagitta = abs(radius - math.hypot(mx - cx, my))
+        pts = [(xa, y)] + arc(xa, xb, y, tol_world=tol)
+        for sagitta in sagittas(pts, xa, xb, y):
             assert sagitta <= tol * 1.01
 
     def test_coarse_tolerance_uses_few_points(self):
-        fine = _arc_points(0.0, 1.0, 1.0, tol_world=1e-6)
-        coarse = _arc_points(0.0, 1.0, 1.0, tol_world=0.5)
+        fine = arc(0.0, 1.0, 1.0, tol_world=1e-6)
+        coarse = arc(0.0, 1.0, 1.0, tol_world=0.5)
         assert len(coarse) < len(fine)
+
+    @given(row=st.integers(-12, 6), n=st.integers(-2**20, 2**20),
+           tol=st.floats(1e-6, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_translated_tiles_stay_flat(self, row, n, tol):
+        """Tile n of a row, built from the row's column-0 outline, meets the
+        flatness bound on each arc, and each arc ends on its exact corner."""
+        w = math.ldexp(1.0, row)
+        x0, mid, x1, y0, y1 = n * w, (n + 0.5) * w, (n + 1) * w, w, 2 * w
+        pts = [(n * w + c + dx, y) for c, dx, y in _row_outline(w, tol)]
+        assert pts[0] == (x0, y0) and pts[-1] == (x0, y1)
+        i_mid, i_right = pts.index((mid, y0)), pts.index((x1, y0))
+        assert pts[i_right + 1] == (x1, y1)
+        for xa, xb, y, part in ((x0, mid, y0, pts[:i_mid + 1]),
+                                (mid, x1, y0, pts[i_mid:i_right + 1]),
+                                (x1, x0, y1, pts[i_right + 1:])):
+            for sagitta in sagittas(part, xa, xb, y):
+                assert sagitta <= tol * 1.01
 
 
 class TestRenderCounts:
@@ -87,6 +120,13 @@ class TestRenderCounts:
     def test_size_guard(self, tmp_path):
         with pytest.raises(SizeError):
             render_svg(SUB, (0, 0), (0.0, 10.0**6), str(tmp_path / "big.svg"))
+
+    def test_size_guard_leaves_no_file(self, tmp_path):
+        out = tmp_path / "big.svg"
+        # row -10 alone fits (49,152 tiles); row -9 crosses the cap
+        with pytest.raises(SizeError):
+            render_svg(SUB, (-10, 3), (0.0, 48.0), str(out))
+        assert not out.exists()
 
     def test_input_validation(self, tmp_path):
         out = str(tmp_path / "bad.svg")
@@ -150,6 +190,13 @@ class TestOverlays:
             render_svg(SUB, (0, 2), (0.0, 4.0), str(tmp_path / "x.svg"),
                        overlay_levels=(0,))
 
+    def test_bad_level_leaves_no_file(self, tmp_path):
+        out = tmp_path / "x.svg"
+        with pytest.raises(DomainError, match="overlay level 0"):
+            render_svg(SUB, (0, 2), (0.0, 4.0), str(out),
+                       overlay_levels=(1, 0))
+        assert not out.exists()
+
 
 class TestClipping:
     def test_y_clip_limits_rows(self, tmp_path):
@@ -165,3 +212,38 @@ class TestClipping:
         assert text.startswith("<?xml")
         root = ET.parse(out).getroot()
         assert root.get("width") == "400.00"
+
+
+class TestByteIdentity:
+    """SHA-256 digests of the ElementTree writer's output, which the text
+    writer reproduces byte for byte."""
+
+    CASES = {
+        "band": ((SUB, (-10, 3), (0.0, 24.0)), {},
+                 "0a15b7ebc518dfa2c6c5b8ce2cc7d6b45872e736fdd7ea16b4d08c407c51d98e"),
+        "band_negative": ((SUB, (-10, 3), (-32.0, -8.0)), {},
+                          "a327715c4fda63b524f34bf3c437b605feb94018cd6cbd861c8249b6e2a36999"),
+        "overlays": ((SUB, (-3, 4), (-4.0, 12.0)), {"overlay_levels": (1, 2)},
+                     "f0d0aceac90ed8310a1bebc68fd20472501a95a57a047eb6e5f89ae96edd55f3"),
+        "no_model": ((None, (-2, 2), (0.0, 8.0)), {},
+                     "fc0b63f076f655f8447339deac6c26988ce1f9b4690da18a2f1dc9f5423b605d"),
+        "capped_toeplitz": ((ToeplitzModel.of_rank(2, max_depth=1), (-2, 3),
+                             (0.0, 8.0)), {},
+                            "f5bc78b4b52a930482ab0fd67606ab5a167cf553ce9aa4e52464c313cac59d5d"),
+        "fine_tol": ((SUB, (-3, 2), (-5.3, 7.9)), {"tol": 1e-5},
+                     "c83a8985cfbada08146ccafc9e147e8a4908b9a7ecdc9502ecfdec207c903466"),
+        "empty_group": ((SUB, (0, 0), (0.0, 4.0)), {"y_clip": (5.0, 6.0)},
+                        "0449be2c3d07e97c81b5ebb4c3f29e774a5d10f7c1f03a20bf4906d0369ad628"),
+        "palette": ((SUB, (-1, 3), (0.0, 8.0)),
+                    {"palette": ("#ff0000", '<a&b c="d">\t\n%s{}')},
+                    "4d658623726ee930ebd65afdb9ceb13f55ef21d424feb923428115a5eeadc2d1"),
+        "inverted": ((SUB, (2, 0), (0.0, 4.0)), {"overlay_levels": (1,)},
+                     "fd63ac01e5b319310b50a6c18532f51607d95029fcacd8a4992aa916fb38e5b0"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_digest(self, tmp_path, name):
+        args, kwargs, digest = self.CASES[name]
+        out = tmp_path / f"{name}.svg"
+        render_svg(*args, str(out), **kwargs)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
