@@ -12,8 +12,7 @@ from .geometry import (
     AffineMap, AnchoredTiling, Occurrence, OccurrenceClass, Patch, TileAddress,
     agreement_radius, alpha, doubling_map, enumerate_occurrences,
     hull_distance, identity_map, occurrence_classes, occurrence_table_json,
-    patch_partition_check, shift_map, suspension_project,
-    tile_containing_point, tile_region,
+    patch_partition_check, shift_map, suspension_project, tile_containing_point,
 )
 from .harmonic import (
     BoundaryAtoms, TransportCheck, boundary_recover, cylinder_mass,
@@ -37,7 +36,7 @@ from .diffusion import (
 from .render import render_svg
 from .symbolic import (
     AtlasWord, SubstitutionModel, SubstitutionRule, ToeplitzModel,
-    ToeplitzSpec, atlas_word, atlas_words, block_decompose, block_type_counts,
+    ToeplitzSpec, atlas_words, block_decompose, block_type_counts,
     letter_counts, rule_112_122, substitution_image, window, word_from_str,
     word_to_str,
 )
@@ -53,7 +52,7 @@ __all__ = [
     "TileAddress", "agreement_radius", "alpha", "doubling_map",
     "enumerate_occurrences", "hull_distance", "identity_map",
     "occurrence_classes", "occurrence_table_json", "patch_partition_check",
-    "shift_map", "suspension_project", "tile_containing_point", "tile_region",
+    "shift_map", "suspension_project", "tile_containing_point",
     "BoundaryAtoms", "TransportCheck", "boundary_recover", "cylinder_mass",
     "cylinder_mass_exact", "herglotz_evaluate", "herglotz_evaluator",
     "map_rect", "transport_scaling_check", "PAPER", "TRIANGLE",
@@ -68,7 +67,7 @@ __all__ = [
     "garnett_compare", "height_law_test", "log_height_samples",
     "log_height_stats", "run_paths", "simulate_path", "render_svg",
     "AtlasWord", "SubstitutionModel", "SubstitutionRule", "ToeplitzModel",
-    "ToeplitzSpec", "atlas_word", "atlas_words", "block_decompose",
+    "ToeplitzSpec", "atlas_words", "block_decompose",
     "block_type_counts", "letter_counts", "rule_112_122", "substitution_image",
     "window", "word_from_str", "word_to_str", "run_verification",
 ]

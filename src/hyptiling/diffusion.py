@@ -382,8 +382,13 @@ def log_height_stats(results) -> dict:
 
 def height_law_test(results) -> tuple:
     """Kolmogorov-Smirnov statistic and p-value of the compensated samples
-    against N(0, T)."""
-    from scipy import stats
+    against N(0, T).
+
+    D = max(D+, D-) over the sorted samples against the normal CDF
+    0.5 * erfc(-z / sqrt(2)); the p-value is the exact two-sided tail
+    P(D_n >= D) of `_kolmogorov_sf`.
+    """
+    import numpy as np
 
     samples = log_height_samples(results)
     if len(samples) < 30:
@@ -394,8 +399,140 @@ def height_law_test(results) -> tuple:
     horizon = max(r.time_elapsed for r in results if not r.partial)
     if horizon <= 0:
         raise DomainError("zero horizon has a degenerate law")
-    outcome = stats.kstest(samples, "norm", args=(0.0, math.sqrt(horizon)))
-    return float(outcome.statistic), float(outcome.pvalue)
+    n = len(samples)
+    scale = math.sqrt(horizon)
+    cdf = np.array([0.5 * math.erfc(-(x / scale) / math.sqrt(2.0))
+                    for x in np.sort(samples).tolist()])
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    stat = float(max(d_plus, d_minus))
+    return stat, _kolmogorov_sf(n, stat)
+
+
+def _kolmogorov_sf(n: int, d: float) -> float:
+    """P(D_n >= d) for the two-sided one-sample KS statistic of n samples.
+
+    Branch rules of Simard and L'Ecuyer, "Computing the two-sided
+    Kolmogorov-Smirnov distribution" (JSS 39, 2011), with t = n * d:
+    Ruben and Gambino's closed forms at both ends, twice the one-sided tail
+    where the two tails cannot meet (d >= 1/2) or their overlap is
+    negligible, Durbin's exact matrix for small t, and the Pelz-Good
+    asymptotic series for the rest of large n.
+    """
+    t = n * d
+    if t <= 0.5:
+        return 1.0
+    if d >= 1.0:
+        return 0.0
+    if t <= 1.0:  # P(D_n < d) = n!/n^n (2t - 1)^n
+        return 1.0 - math.exp(math.lgamma(n + 1) + n * math.log((2 * t - 1) / n))
+    if t >= n - 1:
+        sf = 2.0 * (1.0 - d) ** n
+    elif d >= 0.5 or (n <= 140 and t * d > 4.0):
+        sf = 2.0 * _smirnov_sf(n, d)
+    elif n <= 140:
+        sf = 1.0 - _durbin_cdf(n, d)
+    elif t * d >= 370.0:
+        return 0.0
+    elif t * d >= 2.2:
+        sf = 2.0 * _smirnov_sf(n, d)
+    elif n <= 100_000 and n * d**1.5 <= 1.4:
+        sf = 1.0 - _durbin_cdf(n, d)
+    else:
+        sf = 1.0 - _pelz_good_cdf(n, d)
+    return min(max(sf, 0.0), 1.0)
+
+
+def _smirnov_sf(n: int, d: float) -> float:
+    """One-sided tail P(D_n+ >= d) by the Birnbaum-Tingey sum, each term in
+    log space: d * sum_j C(n, j) (1 - d - j/n)^(n-j) (d + j/n)^(j-1)."""
+    head = math.lgamma(n + 1)
+    logs = []
+    for j in range(n + 1):
+        low = 1.0 - d - j / n
+        if low <= 0.0:
+            break
+        logs.append(head - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                    + (n - j) * math.log(low) + (j - 1) * math.log(d + j / n))
+    top = max(logs)
+    return d * math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
+
+
+def _durbin_cdf(n: int, d: float) -> float:
+    """P(D_n < d) by Durbin's matrix: entry (k, k) of n!/n^n H^n with
+    k = ceil(n d), evaluated as Marsaglia, Tsang and Wang do ("Evaluating
+    Kolmogorov's distribution", JSS 8, 2003), with a power-of-two exponent
+    kept aside so that nothing overflows."""
+    import numpy as np
+
+    k = math.ceil(n * d)
+    h = k - n * d
+    m = 2 * k - 1
+    inv_fact = [1.0]
+    for j in range(1, m + 1):
+        inv_fact.append(inv_fact[-1] / j)
+    v = [(1.0 - h ** (j + 1)) * inv_fact[j + 1] for j in range(m)]
+    v[-1] = (1.0 + max(2 * h - 1.0, 0.0) ** m - 2 * h**m) * inv_fact[m]
+    H = np.zeros((m, m))
+    for i in range(1, m):
+        H[i - 1:, i] = inv_fact[:m - i + 1]
+    H[:, 0] = v
+    H[-1, :] = v[::-1]
+    power, exponent, h_exponent = np.eye(m), 0, 0
+    e = n
+    while e:
+        if e & 1:
+            power = power @ H
+            exponent += h_exponent
+        H = H @ H
+        h_exponent *= 2
+        if abs(H[k - 1, k - 1]) > 2.0**128:
+            H /= 2.0**128
+            h_exponent += 128
+        e >>= 1
+    p = float(power[k - 1, k - 1])
+    for i in range(1, n + 1):
+        p = i * p / n
+        if abs(p) < 2.0**-128:
+            p *= 2.0**128
+            exponent -= 128
+    return math.ldexp(p, exponent)
+
+
+def _pelz_good_cdf(n: int, d: float) -> float:
+    """Pelz and Good's series for P(D_n < d) (JRSS B 38, 1976): Li-Chien and
+    Korolyuk's expansion in 1/sqrt(n), transformed with Jacobi theta
+    functions so that it converges fast for small z = sqrt(n) d."""
+    z = math.sqrt(n) * d
+    z2, z4, z6 = z * z, z**4, z**6
+    pi2, pi4, pi6 = math.pi**2, math.pi**4, math.pi**6
+    q_log = -pi2 / 8 / z2
+    if q_log < -708:
+        return 0.0
+    q = math.exp(q_log)
+    top = math.ceil(16 * z / math.pi)
+    sums = [0.0] * 4
+    for k in range(top, 0, -1):  # Horner in q^8 over the odd m = 2k - 1
+        m2 = (2 * k - 1) ** 2
+        q_power = q ** (8 * k)
+        coeffs = (1.0,
+                  -z2 + pi2 / 4 * m2,
+                  6 * z6 + 2 * z4 + (2 * z4 - 5 * z2) * pi2 / 4 * m2
+                  + pi4 * (1 - 2 * z2) / 16 * m2**2,
+                  -30 * z6 - 90 * z**8 + pi2 * (135 * z4 - 96 * z6) / 4 * m2
+                  + pi4 * (-60 * z2 + 212 * z4) / 16 * m2**2
+                  + pi6 * (5 - 30 * z2) / 64 * m2**3)
+        sums = [s * q_power + c for s, c in zip(sums, coeffs)]
+    root = math.sqrt(2 * math.pi)
+    terms = [s * q * root / den
+             for s, den in zip(sums, (z, 6 * z4, 72 * z**7, 6480 * z**10))]
+    q = math.exp(-pi2 / 2 / z2)  # the sums over all k of K_2 and K_3
+    ks = range(top, 0, -1)
+    terms[2] += (sum(k * k * q ** (k * k) for k in ks)
+                 * pi2 * root / (-36 * z**3))
+    terms[3] += (sum((3 * z2 - (math.pi * k) ** 2) * k * k * q ** (k * k)
+                     for k in ks) * pi2 * root / (216 * z6))
+    return sum(term / n ** (i / 2) for i, term in enumerate(terms))
 
 
 # ---------------------------------------------------------------------------

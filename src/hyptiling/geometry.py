@@ -111,10 +111,6 @@ class TileAddress:
         return AffineMap(h, self.col * h)
 
 
-def tile_region(tile: TileAddress) -> tuple:
-    return tile.vertices()
-
-
 def tile_containing_point(x: float, y: float) -> TileAddress:
     """Address of the tile whose half-open region contains (x, y)."""
     y = float(y)

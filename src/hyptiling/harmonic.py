@@ -14,7 +14,9 @@ affine maps acting on the half-plane.
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,6 +64,10 @@ def herglotz_evaluator(measure: BoundaryAtoms):
     return func
 
 
+#: Pieces the adaptive quadrature may cut its interval into.
+_MAX_PIECES = 200
+
+
 def boundary_recover(func, a: float, b: float, y_probe: float = 1e-4,
                      breakpoints=None, rel_tol: float = 1e-8) -> float:
     """Mass the boundary measure gives the open interval (a, b).
@@ -70,28 +76,89 @@ def boundary_recover(func, a: float, b: float, y_probe: float = 1e-4,
     probe height drops this converges to the measure of the interval (plus
     half of any atoms sitting exactly on the endpoints).  The slope part
     contributes slope * y_probe * (b - a), vanishing with the probe.
+
+    The integral is adaptive Gauss-Kronrod (7, 15) quadrature: the interval
+    is cut at the breakpoints, then the piece with the largest error
+    estimate is bisected until the summed estimate abserr meets
+    abserr <= rel_tol * max(|value|, 1), or QuadratureError is raised once
+    there are _MAX_PIECES pieces.
     """
     if not (a < b):
         raise DomainError(f"empty interval [{a}, {b}]")
     if not (y_probe > 0):
         raise DomainError(f"probe height {y_probe} must be positive")
-    from scipy import integrate
 
-    points = None
-    if breakpoints is not None:
-        points = [p for p in breakpoints if a < p < b]
-        if not points:
-            points = None
-    value, abserr = integrate.quad(
-        func, a, b, args=(y_probe,), points=points, limit=200
-    )
-    scale = max(abs(value), 1.0)
-    if not math.isfinite(value) or abserr > rel_tol * scale:
+    def piece(lo, hi):
+        value, err = _kronrod15(func, y_probe, lo, hi)
+        return (-err, lo, hi, value)
+
+    inner = () if breakpoints is None else breakpoints
+    cuts = sorted({a, b, *(p for p in inner if a < p < b)})
+    heap = [piece(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    heapq.heapify(heap)
+    while True:
+        value = math.fsum(entry[3] for entry in heap)
+        abserr = -math.fsum(entry[0] for entry in heap)
+        if abserr <= rel_tol * max(abs(value), 1.0) or len(heap) >= _MAX_PIECES:
+            break
+        _, lo, hi, _ = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        heapq.heappush(heap, piece(lo, mid))
+        heapq.heappush(heap, piece(mid, hi))
+    if not math.isfinite(value) or abserr > rel_tol * max(abs(value), 1.0):
         raise QuadratureError(
             f"quadrature error {abserr} too large for value {value}",
             residual=abserr,
         )
     return value / math.pi
+
+
+# QUADPACK's qk15 (Piessens et al., 1983): the positive nodes of the
+# 15-point Kronrod rule on [-1, 1], each with its Kronrod weight and its
+# weight in the 7-point Gauss rule (0 off the Gauss nodes), then the center.
+_KRONROD_NODES = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+)
+_KRONROD_CENTER = (0.209482141084727828012999174891714,
+                   0.417959183673469387755102040816327)
+_EPS = sys.float_info.epsilon
+
+
+def _kronrod15(func, y: float, lo: float, hi: float) -> tuple:
+    """Integral of func(x, y) dx over [lo, hi] and its error estimate, as
+    QUADPACK's qk15 gives them: the Kronrod value, and the Kronrod-Gauss
+    difference scaled by resasc * min(1, (200 |K - G| / resasc)^1.5),
+    floored at 50 eps resabs."""
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fc = func(center, y)
+    wk, wg = _KRONROD_CENTER
+    kronrod, gauss, resabs = wk * fc, wg * fc, wk * abs(fc)
+    values = []
+    for x, wk, wg in _KRONROD_NODES:
+        f1, f2 = func(center - half * x, y), func(center + half * x, y)
+        kronrod += wk * (f1 + f2)
+        gauss += wg * (f1 + f2)
+        resabs += wk * (abs(f1) + abs(f2))
+        values.append((wk, f1, f2))
+    mean = 0.5 * kronrod
+    resasc = _KRONROD_CENTER[0] * abs(fc - mean) + sum(
+        wk * (abs(f1 - mean) + abs(f2 - mean)) for wk, f1, f2 in values)
+    resabs, resasc = resabs * half, resasc * half
+    err = abs((kronrod - gauss) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > sys.float_info.min / (50.0 * _EPS):
+        err = max(50.0 * _EPS * resabs, err)
+    return kronrod * half, err
 
 
 # ---------------------------------------------------------------------------

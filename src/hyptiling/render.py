@@ -146,10 +146,19 @@ def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
                 pass
         bands.append((width, n_lo, n_hi, fill.translate(_FILL_ESCAPES)))
     levels = []
+    boxes = 0
     for q in map(int, overlay_levels):
         if q < 1:
             raise DomainError(f"overlay level {q} must be at least 1")
         levels.append(q)
+        for apex in range(row_hi, row_lo - 1, -q):
+            h = math.ldexp(1.0, apex)
+            boxes += math.ceil(x_max / h) - math.floor(x_min / h)
+        if boxes > MAX_TILES:
+            raise SizeError(
+                f"overlays hold more than {MAX_TILES} boxes; "
+                "shrink the x-range or raise the lowest row"
+            )
 
     size = f'width="{width_px:.2f}" height="{max(height_px, 1.0):.2f}"'
     with open(out_path, "w", encoding="utf-8",

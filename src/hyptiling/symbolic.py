@@ -495,11 +495,6 @@ def atlas_words(model_like, q: int) -> AtlasLevel:
     return AtlasLevel(q=q, length=length, handles=handles)
 
 
-def atlas_word(model_like, q: int, letter: Letter,
-               max_letters: int = DEFAULT_MATERIALIZE_LIMIT) -> Word:
-    return atlas_words(model_like, q).word(letter, max_letters)
-
-
 # ---------------------------------------------------------------------------
 # Block decomposition and counting
 

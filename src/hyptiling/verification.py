@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .diffusion import DiffusionConfig, height_law_test, run_paths
 from .geometry import occurrence_classes
+from .harmonic import BoundaryAtoms, boundary_recover, herglotz_evaluator
 from .measures import (
     TRIANGLE,
     compose_range,
@@ -156,6 +157,39 @@ def check_height_law(seed: int = 2024) -> CheckResult:
     )
 
 
+def _atoms_interval_mass(measure: BoundaryAtoms, a, b, y) -> float:
+    """Closed form of what boundary_recover integrates: the Poisson kernel of
+    an atom integrates to an arctangent, the slope term to slope * y."""
+    return (math.fsum(m * (math.atan((b - s) / y) - math.atan((a - s) / y))
+                      for s, m in measure.atoms)
+            + measure.slope * y * (b - a)) / math.pi
+
+
+def check_boundary_recovery(rel_tol: float = 1e-8) -> CheckResult:
+    """Adaptive quadrature of the Poisson extension versus the arctangent
+    closed form, within the quadrature's own acceptance rule."""
+    cases = (
+        (((0.25, 2.0),), 1e-4, (0.25,)),
+        (((0.2, 1.0), (0.8, 4.0)), 1e-5, (0.2, 0.8)),
+    )
+    for atoms, y, breaks in cases:
+        measure = BoundaryAtoms(atoms=atoms)
+        got = boundary_recover(herglotz_evaluator(measure), 0.0, 1.0,
+                               y_probe=y, breakpoints=breaks, rel_tol=rel_tol)
+        want = _atoms_interval_mass(measure, 0.0, 1.0, y)
+        if abs(got - want) > rel_tol * max(abs(want) * math.pi, 1.0) / math.pi:
+            return CheckResult(
+                "boundary-recovery", False,
+                f"atoms {atoms} at height {y}: quadrature {got!r} "
+                f"!= closed form {want!r}",
+            )
+    return CheckResult(
+        "boundary-recovery", True,
+        "quadrature of the Poisson extension matches the arctangent closed "
+        "form on 2 atom measures",
+    )
+
+
 def run_all(quick: bool = True) -> list:
     if quick:
         return [
@@ -163,6 +197,7 @@ def run_all(quick: bool = True) -> list:
             check_mass_conservation((0, 1, 2)),
             check_nesting(((1, 3), (2, 4))),
             check_contraction(),
+            check_boundary_recovery(),
             check_height_law(),
         ]
     return [
@@ -170,5 +205,6 @@ def run_all(quick: bool = True) -> list:
         check_mass_conservation(),
         check_nesting(),
         check_contraction(),
+        check_boundary_recovery(),
         check_height_law(),
     ]

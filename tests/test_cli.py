@@ -345,21 +345,31 @@ class TestRender:
         )
         assert code == 5
 
+    def test_overlay_box_cap_exit(self, tmp_path):
+        out = tmp_path / "x.svg"
+        code, stdout, err = run(
+            ["render", "--rows", "-16", "0", "--x", "0", "1", "--y-clip",
+             "1", "2", "--overlay", "1", "--out", str(out)]
+        )
+        assert code == 5
+        assert stdout == "" and "boxes" in err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_quick_json(self):
         code, payload = run_json(["verify", "--json"])
         assert code == 0
         assert payload["all_passed"] is True
-        assert len(payload["checks"]) == 5
+        assert len(payload["checks"]) == 6
         names = {c["name"] for c in payload["checks"]}
-        assert len(names) == 5
+        assert len(names) == 6
 
     def test_text_lines(self):
         code, out, _ = run(["verify"])
         assert code == 0
         lines = out.strip().splitlines()
-        assert len(lines) == 5
+        assert len(lines) == 6
         assert all(line.startswith("[PASS]") for line in lines)
 
 

@@ -122,7 +122,6 @@ class TestBoundaryRecovery:
         with pytest.raises(DomainError):
             boundary_recover(func, 0.0, 1.0, y_probe=0.0)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_quadrature_failure_is_reported(self):
         def jagged(x, y):
             # non-integrable spike: quad cannot reach the tolerance
@@ -242,5 +241,26 @@ def test_import_leaves_heavy_modules_unloaded():
          f"import sys, hyptiling; print([m for m in {heavy!r} if m in sys.modules])"],
         capture_output=True, text=True,
     )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_checks_leave_scipy_unloaded():
+    """The KS test, the quadrature and every verify check run without
+    scipy."""
+    code = (
+        "import sys\n"
+        "from hyptiling import *\n"
+        "from hyptiling.verification import run_all\n"
+        "assert all(c.passed for c in run_all())\n"
+        "cfg = DiffusionConfig(SubstitutionModel.standard(), dt=0.01,"
+        " horizon=1.0, paths=30)\n"
+        "height_law_test(run_paths(cfg))\n"
+        "boundary_recover(herglotz_evaluator(BoundaryAtoms(((0.25, 2.0),))),"
+        " 0.0, 1.0, breakpoints=(0.25,))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -197,6 +197,28 @@ class TestOverlays:
                        overlay_levels=(1, 0))
         assert not out.exists()
 
+    def test_box_cap_under_a_clip_leaves_no_file(self, tmp_path):
+        out = tmp_path / "boxes.svg"
+        # the clip keeps one tile, but the level-1 overlay walks every apex
+        # row of -16..0: 2**17 - 1 = 131,071 boxes
+        with pytest.raises(SizeError, match="boxes"):
+            render_svg(SUB, (-16, 0), (0.0, 1.0), str(out),
+                       overlay_levels=(1,), y_clip=(1.0, 2.0))
+        assert not out.exists()
+
+    def test_box_cap_counts_every_level(self, tmp_path):
+        # rows -14..0 over (0, 1): 32,767 level-1 boxes, fewer at level 2;
+        # each level fits under the cap, the two together do not
+        out = tmp_path / "boxes.svg"
+        assert render_svg(SUB, (-14, 0), (0.0, 1.0), str(out),
+                          overlay_levels=(1,), y_clip=(1.0, 2.0)) == 1
+        assert len(svg_rects(out)) == 2**15 - 1
+        out.unlink()
+        with pytest.raises(SizeError):
+            render_svg(SUB, (-14, 0), (0.0, 1.0), str(out),
+                       overlay_levels=(1, 2), y_clip=(1.0, 2.0))
+        assert not out.exists()
+
 
 class TestClipping:
     def test_y_clip_limits_rows(self, tmp_path):

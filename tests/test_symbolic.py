@@ -16,7 +16,6 @@ from hyptiling import (
     SubstitutionRule,
     ToeplitzModel,
     ToeplitzSpec,
-    atlas_word,
     atlas_words,
     block_decompose,
     block_type_counts,
@@ -321,8 +320,8 @@ class TestAtlas:
     def test_materialization_cap(self):
         sub = SubstitutionModel.standard()
         with pytest.raises(SizeError):
-            atlas_word(sub, 5, 1, max_letters=100)  # length 243
-        assert len(atlas_word(sub, 5, 1, max_letters=243)) == 243
+            atlas_words(sub, 5).word(1, max_letters=100)  # length 243
+        assert len(atlas_words(sub, 5).word(1, max_letters=243)) == 243
 
     def test_lazy_letter_at(self):
         t2 = ToeplitzModel.of_rank(2)
