@@ -479,9 +479,9 @@ def _durbin_cdf(n: int, d: float) -> float:
     H[:, 0] = v
     H[-1, :] = v[::-1]
     power, exponent, h_exponent = np.eye(m), 0, 0
-    e = n
-    while e:
-        if e & 1:
+    bits = n
+    while bits:  # H^n by squaring; H is kept as H_true * 2**-h_exponent
+        if bits & 1:
             power = power @ H
             exponent += h_exponent
         H = H @ H
@@ -489,7 +489,7 @@ def _durbin_cdf(n: int, d: float) -> float:
         if abs(H[k - 1, k - 1]) > 2.0**128:
             H /= 2.0**128
             h_exponent += 128
-        e >>= 1
+        bits >>= 1
     p = float(power[k - 1, k - 1])
     for i in range(1, n + 1):
         p = i * p / n

@@ -115,7 +115,8 @@ def boundary_recover(func, a: float, b: float, y_probe: float = 1e-4,
 
 # QUADPACK's qk15 (Piessens et al., 1983): the positive nodes of the
 # 15-point Kronrod rule on [-1, 1], each with its Kronrod weight and its
-# weight in the 7-point Gauss rule (0 off the Gauss nodes), then the center.
+# weight in the 7-point Gauss rule (0 off the Gauss nodes); the center's
+# two weights come last.
 _KRONROD_NODES = (
     (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
     (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
@@ -140,8 +141,8 @@ def _kronrod15(func, y: float, lo: float, hi: float) -> tuple:
     floored at 50 eps resabs."""
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     fc = func(center, y)
-    wk, wg = _KRONROD_CENTER
-    kronrod, gauss, resabs = wk * fc, wg * fc, wk * abs(fc)
+    wk_center, wg_center = _KRONROD_CENTER
+    kronrod, gauss, resabs = wk_center * fc, wg_center * fc, wk_center * abs(fc)
     values = []
     for x, wk, wg in _KRONROD_NODES:
         f1, f2 = func(center - half * x, y), func(center + half * x, y)
@@ -150,7 +151,7 @@ def _kronrod15(func, y: float, lo: float, hi: float) -> tuple:
         resabs += wk * (abs(f1) + abs(f2))
         values.append((wk, f1, f2))
     mean = 0.5 * kronrod
-    resasc = _KRONROD_CENTER[0] * abs(fc - mean) + sum(
+    resasc = wk_center * abs(fc - mean) + sum(
         wk * (abs(f1 - mean) + abs(f2 - mean)) for wk, f1, f2 in values)
     resabs, resasc = resabs * half, resasc * half
     err = abs((kronrod - gauss) * half)

@@ -264,3 +264,19 @@ def test_checks_leave_scipy_unloaded():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("offset,passed", [(0.5, True), (2.0, False)])
+def test_verify_check_holds_quadrature_to_its_rule(monkeypatch, offset, passed):
+    """The boundary-recovery check of `verify` fails once the quadrature
+    strays from the closed form by more than rel_tol * max(|value|, 1) / pi."""
+    from hyptiling import verification
+
+    def shifted(*args, **kwargs):
+        value = boundary_recover(*args, **kwargs)
+        return value + offset * 1e-8 * max(abs(value) * math.pi, 1.0) / math.pi
+
+    monkeypatch.setattr(verification, "boundary_recover", shifted)
+    check = verification.check_boundary_recovery()
+    assert check.name == "boundary-recovery"
+    assert check.passed is passed
