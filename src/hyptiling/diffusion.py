@@ -385,7 +385,7 @@ def height_law_test(results) -> tuple:
     against N(0, T).
 
     D = max(D+, D-) over the sorted samples against the normal CDF
-    0.5 * erfc(-z / sqrt(2)); the p-value is the exact two-sided tail
+    0.5 * erfc(-z / sqrt(2)); the p-value is the two-sided tail
     P(D_n >= D) of `_kolmogorov_sf`.
     """
     import numpy as np
@@ -417,7 +417,8 @@ def _kolmogorov_sf(n: int, d: float) -> float:
     Ruben and Gambino's closed forms at both ends, twice the one-sided tail
     where the two tails cannot meet (d >= 1/2) or their overlap is
     negligible, Durbin's exact matrix for small t, and the Pelz-Good
-    asymptotic series for the rest of large n.
+    asymptotic series for the rest of large n.  The thresholds and their
+    order are those of scipy 1.17's `kstwo.sf`.
     """
     t = n * d
     if t <= 0.5:
