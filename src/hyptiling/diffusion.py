@@ -485,9 +485,12 @@ def _durbin_cdf(n: int, d: float) -> float:
         if bits & 1:
             power = power @ H
             exponent += h_exponent
+            while abs(power[k - 1, k - 1]) > 2.0**128:
+                power /= 2.0**128
+                exponent += 128
         H = H @ H
         h_exponent *= 2
-        if abs(H[k - 1, k - 1]) > 2.0**128:
+        while abs(H[k - 1, k - 1]) > 2.0**128:
             H /= 2.0**128
             h_exponent += 128
         bits >>= 1

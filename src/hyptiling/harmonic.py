@@ -82,6 +82,13 @@ def boundary_recover(func, a: float, b: float, y_probe: float = 1e-4,
     estimate is bisected until the summed estimate abserr meets
     abserr <= rel_tol * max(|value|, 1), or QuadratureError is raised once
     there are _MAX_PIECES pieces.
+
+    func must be smooth on each piece between the breakpoints.  The rule
+    does not extrapolate: a singularity at a breakpoint is reached by
+    bisection alone, so a weak one such as |x - c|^(-1/4) converges and a
+    strong one raises QuadratureError, but a singularity inside a piece can
+    return a value outside the tolerance with no error.  The Poisson
+    extensions of boundary measures are smooth for y_probe > 0.
     """
     if not (a < b):
         raise DomainError(f"empty interval [{a}, {b}]")

@@ -145,15 +145,18 @@ def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
             except CapError:
                 pass
         bands.append((width, n_lo, n_hi, fill.translate(_FILL_ESCAPES)))
-    levels = []
+    levels = []  # (q, [(width, n_lo, n_hi) of each apex row]) per level
     boxes = 0
     for q in map(int, overlay_levels):
         if q < 1:
             raise DomainError(f"overlay level {q} must be at least 1")
-        levels.append(q)
+        spans = []
         for apex in range(row_hi, row_lo - 1, -q):
             h = math.ldexp(1.0, apex)
-            boxes += math.ceil(x_max / h) - math.floor(x_min / h)
+            n_lo, n_hi = math.floor(x_min / h), math.ceil(x_max / h)
+            spans.append((h, n_lo, n_hi))
+            boxes += n_hi - n_lo
+        levels.append((q, spans))
         if boxes > MAX_TILES:
             raise SizeError(
                 f"overlays hold more than {MAX_TILES} boxes; "
@@ -173,14 +176,13 @@ def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
             for band in bands:
                 out.writelines(_row_paths(*band, tol_world, x_min, y_hi, scale))
             out.write("</g>" if bands else "")
-        for idx, q in enumerate(levels if has_rows else ()):
+        for idx, (q, spans) in enumerate(levels if has_rows else ()):
             stroke = OVERLAY_STROKES[idx % len(OVERLAY_STROKES)]
             out.write(f'<g stroke="{stroke}" stroke-width="1.6" fill="none">')
-            for apex in range(row_hi, row_lo - 1, -q):
-                h = math.ldexp(1.0, apex)
+            for h, n_lo, n_hi in spans:
                 sy0 = (y_hi - 2.0 * h) * scale
-                sy1 = (y_hi - math.ldexp(1.0, apex - q + 1)) * scale
-                for n in range(math.floor(x_min / h), math.ceil(x_max / h)):
+                sy1 = (y_hi - math.ldexp(h, 1 - q)) * scale
+                for n in range(n_lo, n_hi):
                     sx0 = (n * h - x_min) * scale
                     sx1 = ((n + 1) * h - x_min) * scale
                     out.write(f'<rect x="{sx0:.4f}" y="{sy0:.4f}" width='

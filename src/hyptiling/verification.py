@@ -165,7 +165,12 @@ def _atoms_interval_mass(measure: BoundaryAtoms, a, b, y) -> float:
             + measure.slope * y * (b - a)) / math.pi
 
 
-def check_boundary_recovery(rel_tol: float = 1e-8) -> CheckResult:
+#: Acceptance tolerance the boundary-recovery check gives the quadrature and
+#: holds it to.
+_RECOVERY_RTOL = 1e-8
+
+
+def check_boundary_recovery() -> CheckResult:
     """Adaptive quadrature of the Poisson extension versus the arctangent
     closed form, within the quadrature's own acceptance rule."""
     cases = (
@@ -175,9 +180,11 @@ def check_boundary_recovery(rel_tol: float = 1e-8) -> CheckResult:
     for atoms, y, breaks in cases:
         measure = BoundaryAtoms(atoms=atoms)
         got = boundary_recover(herglotz_evaluator(measure), 0.0, 1.0,
-                               y_probe=y, breakpoints=breaks, rel_tol=rel_tol)
+                               y_probe=y, breakpoints=breaks,
+                               rel_tol=_RECOVERY_RTOL)
         want = _atoms_interval_mass(measure, 0.0, 1.0, y)
-        if abs(got - want) > rel_tol * max(abs(want) * math.pi, 1.0) / math.pi:
+        bound = _RECOVERY_RTOL * max(abs(want) * math.pi, 1.0) / math.pi
+        if abs(got - want) > bound:
             return CheckResult(
                 "boundary-recovery", False,
                 f"atoms {atoms} at height {y}: quadrature {got!r} "

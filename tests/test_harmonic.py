@@ -131,6 +131,22 @@ class TestBoundaryRecovery:
             boundary_recover(jagged, 0.0, 1.0)
         assert err.value.residual > 0
 
+    @staticmethod
+    def _spike(power):
+        def func(x, y):
+            return abs(x - 1 / 3) ** -power if x != 1 / 3 else math.inf
+        return func
+
+    def test_weak_singularity_at_a_breakpoint_converges(self):
+        got = boundary_recover(self._spike(0.25), 0.0, 1.0,
+                               breakpoints=(1 / 3,))
+        want = ((1 / 3) ** 0.75 + (2 / 3) ** 0.75) / 0.75 / math.pi
+        assert abs(got - want) <= 1e-8 * want
+
+    def test_strong_singularity_at_a_breakpoint_is_reported(self):
+        with pytest.raises(QuadratureError):
+            boundary_recover(self._spike(0.9), 0.0, 1.0, breakpoints=(1 / 3,))
+
 
 class TestCylinderMass:
     def test_prototile_band(self):
@@ -274,7 +290,8 @@ def test_verify_check_holds_quadrature_to_its_rule(monkeypatch, offset, passed):
 
     def shifted(*args, **kwargs):
         value = boundary_recover(*args, **kwargs)
-        return value + offset * 1e-8 * max(abs(value) * math.pi, 1.0) / math.pi
+        scale = verification._RECOVERY_RTOL * max(abs(value) * math.pi, 1.0)
+        return value + offset * scale / math.pi
 
     monkeypatch.setattr(verification, "boundary_recover", shifted)
     check = verification.check_boundary_recovery()

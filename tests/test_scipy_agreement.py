@@ -53,6 +53,24 @@ def test_kolmogorov_sf_matches_kstwo(n):
         assert math.isclose(got, want, rel_tol=KS_RTOL, abs_tol=KS_ATOL), (n, d)
 
 
+def test_durbin_power_with_many_set_bits_stays_finite():
+    """n = 2**16 - 1 multiplies sixteen scaled factors into Durbin's power.
+
+    For t between about 16 and 24 that product passes 2**1024 unless it is
+    rescaled; `kstwo.sf` overflows there itself and returns 0.  Where the
+    limiting law's tail rounds to 1.0 the exact tail must too; elsewhere it
+    must match `kstwo.sf`.
+    """
+    n = 2**16 - 1
+    for d in np.geomspace(2.0 / n, (1.4 / n) ** (2 / 3), 30).tolist():
+        got = _kolmogorov_sf(n, d)
+        if stats.kstwobign.sf(math.sqrt(n) * d) == 1.0:
+            assert got == 1.0, d
+        else:
+            want = float(stats.kstwo.sf(d, n))
+            assert math.isclose(got, want, rel_tol=KS_RTOL), d
+
+
 def test_grid_reaches_every_branch():
     t_d = [(n * d, d, n) for n in SIZES for d in grid(n)]
     assert any(t <= 0.5 for t, _, _ in t_d)
