@@ -9,10 +9,10 @@ from .errors import (
 )
 from .exact import exact, pow2
 from .geometry import (
-    AffineMap, AnchoredTiling, Occurrence, OccurrenceClass, Patch, TileAddress,
-    agreement_radius, alpha, doubling_map, enumerate_occurrences,
-    hull_distance, identity_map, occurrence_classes, occurrence_table_json,
-    patch_partition_check, shift_map, suspension_project, tile_containing_point,
+    AffineMap, AnchoredTiling, OccurrenceClass, Patch, TileAddress,
+    agreement_radius, alpha, doubling_map, hull_distance, identity_map,
+    occurrence_classes, patch_partition_check, shift_map, suspension_project,
+    tile_containing_point,
 )
 from .harmonic import (
     BoundaryAtoms, TransportCheck, boundary_recover, cylinder_mass,
@@ -24,7 +24,7 @@ from .measures import (
     LevelContraction, MassResiduals, SimplexVertices, TransitionMatrix,
     birkhoff_factor, compose_range, contraction_certificate,
     ergodic_measure_count, hilbert_distance, hilbert_distance_segment,
-    hull_contains, hull_membership, limit_frequencies, mass_conservation_check,
+    hull_contains, hull_membership, mass_conservation_check,
     measure_frequencies, nested_simplex, projective_diameter,
     projective_distance, transition_matrix,
 )
@@ -37,8 +37,7 @@ from .render import render_svg
 from .symbolic import (
     AtlasWord, SubstitutionModel, SubstitutionRule, ToeplitzModel,
     ToeplitzSpec, atlas_words, block_decompose, block_type_counts,
-    letter_counts, rule_112_122, substitution_image, window, word_from_str,
-    word_to_str,
+    rule_112_122, substitution_image, window, word_from_str, word_to_str,
 )
 from .verification import run_all as run_verification
 
@@ -48,11 +47,10 @@ __all__ = [
     "AlignmentError", "BudgetError", "CapError", "DegeneracyError",
     "DomainError", "InconclusiveError", "ModelError", "QuadratureError",
     "SizeError", "TilingError", "UnsupportedSchemeError", "exact", "pow2",
-    "AffineMap", "AnchoredTiling", "Occurrence", "OccurrenceClass", "Patch",
-    "TileAddress", "agreement_radius", "alpha", "doubling_map",
-    "enumerate_occurrences", "hull_distance", "identity_map",
-    "occurrence_classes", "occurrence_table_json", "patch_partition_check",
-    "shift_map", "suspension_project", "tile_containing_point",
+    "AffineMap", "AnchoredTiling", "OccurrenceClass", "Patch", "TileAddress",
+    "agreement_radius", "alpha", "doubling_map", "hull_distance",
+    "identity_map", "occurrence_classes", "patch_partition_check", "shift_map",
+    "suspension_project", "tile_containing_point",
     "BoundaryAtoms", "TransportCheck", "boundary_recover", "cylinder_mass",
     "cylinder_mass_exact", "herglotz_evaluate", "herglotz_evaluator",
     "map_rect", "transport_scaling_check", "PAPER", "TRIANGLE",
@@ -60,14 +58,14 @@ __all__ = [
     "MassResiduals", "SimplexVertices", "TransitionMatrix", "birkhoff_factor",
     "compose_range", "contraction_certificate", "ergodic_measure_count",
     "hilbert_distance", "hilbert_distance_segment", "hull_contains",
-    "hull_membership", "limit_frequencies", "mass_conservation_check",
-    "measure_frequencies", "nested_simplex", "projective_diameter",
+    "hull_membership", "mass_conservation_check", "measure_frequencies",
+    "nested_simplex", "projective_diameter",
     "projective_distance", "transition_matrix", "DiffusionConfig", "LeafState",
     "PathResult", "default_start", "expected_block_fractions",
     "garnett_compare", "height_law_test", "log_height_samples",
     "log_height_stats", "run_paths", "simulate_path", "render_svg",
     "AtlasWord", "SubstitutionModel", "SubstitutionRule", "ToeplitzModel",
     "ToeplitzSpec", "atlas_words", "block_decompose",
-    "block_type_counts", "letter_counts", "rule_112_122", "substitution_image",
+    "block_type_counts", "rule_112_122", "substitution_image",
     "window", "word_from_str", "word_to_str", "run_verification",
 ]

@@ -192,8 +192,8 @@ def _cmd_atlas(ns) -> int:
 def _cmd_matrices(ns) -> int:
     model = _build_model(ns)
     has_level = ns.level is not None
-    has_range = ns.start is not None and ns.stop is not None
-    if has_level == has_range:
+    given = (ns.start is not None) + (ns.stop is not None)
+    if given != (0 if has_level else 2):
         raise _CliUsage("give either --level or both --from and --to")
     schemes = ("triangle", "paper") if ns.scheme == "both" else (ns.scheme,)
     out = {}
@@ -304,7 +304,6 @@ def _cmd_diffuse(ns) -> int:
         horizon=ns.horizon,
         paths=ns.paths,
         seed=ns.seed,
-        track_position=(ns.mode == "full"),
         trace_stride=ns.stride,
     )
     results = run_paths(config, mode=ns.mode)

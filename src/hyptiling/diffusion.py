@@ -47,7 +47,6 @@ class DiffusionConfig:
     horizon: float = 2000.0
     paths: int = 50
     seed: int = 0
-    track_position: bool = False
     trace_stride: int = 0
 
     def __post_init__(self):
@@ -190,14 +189,12 @@ def _noise(config: DiffusionConfig, path_index: int, stream: int):
 
 
 def simulate_path(config: DiffusionConfig, start: LeafState = None,
-                  path_index: int = 0, mode: str = None) -> PathResult:
+                  path_index: int = 0, mode: str = "fast") -> PathResult:
     """Run one path.  Modes produce bit-identical height and occupancy data.
 
     The path is truncated, with the partial flag set, at the first step whose
     starting row the model cannot color.
     """
-    if mode is None:
-        mode = "full" if config.track_position else "fast"
     if mode not in ("fast", "full"):
         raise DomainError(f"unknown mode {mode!r}")
     if start is None:
@@ -338,7 +335,7 @@ def _walk_full(config: DiffusionConfig, start: LeafState,
                 col_final=col, x_frac_final=frac)
 
 
-def run_paths(config: DiffusionConfig, mode: str = None) -> list:
+def run_paths(config: DiffusionConfig, mode: str = "fast") -> list:
     return [
         simulate_path(config, None, index, mode) for index in range(config.paths)
     ]
@@ -543,8 +540,13 @@ def _pelz_good_cdf(n: int, d: float) -> float:
 # Occupancy versus predicted frequencies
 
 
-def expected_block_fractions(model_like, q: int, scheme: str = TRIANGLE,
-                             tol: float = 1e-10, max_level: int = 80) -> tuple:
+#: expected_block_fractions stops once a level moves the fractions less than
+#: this in sup norm, and gives up past the last level.
+_FRACTIONS_TOL = 1e-10
+_FRACTIONS_MAX_LEVEL = 80
+
+
+def expected_block_fractions(model_like, q: int) -> tuple:
     """Limit fractions of level-q block labels, when a single limit exists.
 
     Deepens the exact per-label block counts inside one level-Q word until
@@ -552,17 +554,18 @@ def expected_block_fractions(model_like, q: int, scheme: str = TRIANGLE,
     """
     model = as_model(model_like)
     prev = None
-    for big in range(q + 1, max_level + 1):
+    for big in range(q + 1, _FRACTIONS_MAX_LEVEL + 1):
         counts = block_type_counts(model, q, big, 1)
         total = sum(counts)
         cur = tuple(Fraction(c, total) for c in counts)
         cur_f = tuple(float(x) for x in cur)
         if prev is not None and max(
             abs(a - b) for a, b in zip(prev, cur_f)
-        ) < tol:
+        ) < _FRACTIONS_TOL:
             return cur_f
         prev = cur_f
-    raise DomainError(f"block fractions did not settle within {max_level} levels")
+    raise DomainError(
+        f"block fractions did not settle within {_FRACTIONS_MAX_LEVEL} levels")
 
 
 def garnett_compare(config: DiffusionConfig, q: int = 0,
@@ -611,7 +614,7 @@ def garnett_compare(config: DiffusionConfig, q: int = 0,
     note = ""
     expected = None
     if unique:
-        expected = list(expected_block_fractions(model, q, scheme))
+        expected = list(expected_block_fractions(model, q))
     elif count.status != "stabilized":
         note = "measure count not certified; no expected fractions"
     else:

@@ -196,19 +196,6 @@ class OccurrenceClass:
         }
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    parent_level: int
-    parent_letter: int
-    child_letter: int
-    depth: int
-    horizontal: int
-
-    def placement_map(self) -> AffineMap:
-        scale = pow2(-self.depth)
-        return AffineMap(scale, self.horizontal * scale)
-
-
 def occurrence_classes(model_like, q: int, parent_letter: int,
                        max_classes: int = 1 << 20) -> tuple:
     """Placements of level-q patches inside the level-(q+1) patch of a parent.
@@ -239,41 +226,6 @@ def occurrence_classes(model_like, q: int, parent_letter: int,
             )
         )
     return tuple(classes)
-
-
-def enumerate_occurrences(model_like, q: int, parent_letter: int,
-                          budget: int = 1 << 20):
-    """Explicit occurrence list, or the compressed classes above budget.
-
-    Returns a list of Occurrence items when the total placement count fits
-    the budget; otherwise falls back to the run-length classes.
-    """
-    classes = occurrence_classes(model_like, q, parent_letter)
-    total = sum(c.count for c in classes)
-    if total > budget:
-        return classes
-    explicit = []
-    for c in classes:
-        for h in range(c.count):
-            explicit.append(
-                Occurrence(
-                    parent_level=c.parent_level,
-                    parent_letter=c.parent_letter,
-                    child_letter=c.child_letter,
-                    depth=c.depth,
-                    horizontal=h,
-                )
-            )
-    return explicit
-
-
-def occurrence_table_json(model_like, q: int, parent_letter: int) -> dict:
-    classes = occurrence_classes(model_like, q, parent_letter)
-    return {
-        "q": q + 1,
-        "parent": parent_letter,
-        "classes": [c.to_json() for c in classes],
-    }
 
 
 def patch_partition_check(apex_row: int, apex_cols: range, depth: int) -> dict:
@@ -314,15 +266,13 @@ def patch_partition_check(apex_row: int, apex_cols: range, depth: int) -> dict:
 # Suspension projection
 
 
-def suspension_project(g: AffineMap, model_like=None) -> tuple:
+def suspension_project(g: AffineMap) -> tuple:
     """Project a dilation onto the suspension circle: (frac, shift).
 
     shift = floor(log2 a) counts whole rows; frac = log2(a) - shift in [0, 1)
     is the position inside the unit suspension interval.  Exact when a is a
     power of two.
     """
-    if model_like is not None:
-        as_model(model_like)  # validated, the projection itself ignores it
     a = g.a
     shift = floor_log2_fraction(a)
     ratio = a / pow2(shift)  # in [1, 2)

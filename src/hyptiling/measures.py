@@ -70,12 +70,6 @@ class TransitionMatrix:
         den = 1 << self.shift
         return tuple(tuple(Fraction(x, den) for x in row) for row in self.ints)
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
-
     def column_sums(self) -> tuple:
         den = 1 << self.shift
         return tuple(Fraction(sum(col), den) for col in zip(*self.ints))
@@ -651,25 +645,3 @@ def measure_frequencies(model_like, scheme: str, measure_index: int,
         frequencies=tuple(Fraction(c, length) for c in counts),
     )
 
-
-def limit_frequencies(model_like, scheme: str = TRIANGLE, tol: float = 1e-12,
-                      max_level: int = 64,
-                      stabilization: ErgodicCount = None) -> tuple:
-    """Deep-level letter frequencies of the unique measure, as floats.
-
-    Only meaningful when the ergodic count is 1; deepens the finite-level
-    estimate until successive levels move less than tol in sup norm.
-    """
-    model = as_model(model_like)
-    if stabilization is None:
-        stabilization = ergodic_measure_count(model, scheme)
-    if stabilization.status != "stabilized" or stabilization.count != 1:
-        raise DomainError("limit frequencies exist only for a unique measure")
-    prev = None
-    for q in range(1, max_level + 1):
-        cur = measure_frequencies(model, scheme, 0, q, stabilization).frequencies
-        cur_f = tuple(to_float(x) for x in cur)
-        if prev is not None and max(abs(a - b) for a, b in zip(prev, cur_f)) < tol:
-            return cur_f
-        prev = cur_f
-    raise DomainError(f"frequencies did not settle within {max_level} levels")

@@ -108,6 +108,8 @@ def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
         raise DomainError("row indices beyond float range")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
+    if not (0 < width_px < math.inf):
+        raise DomainError(f"image width {width_px} must be positive and finite")
     model = as_model(model_like) if model_like is not None else None
     colors = tuple(palette) if palette else DEFAULT_PALETTE
 

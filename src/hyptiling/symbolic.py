@@ -206,10 +206,6 @@ class ToeplitzModel:
     def letter(self, position: int) -> Letter:
         return self.block_letter(0, position)
 
-    def letter_step(self, position: int) -> tuple:
-        """(letter, index of the filling step that defined it)."""
-        return self.block_letter_step(0, position)
-
     def children(self, q: int, letter: Letter) -> Word:
         """Level-(q-1) labels inside the level-q word `letter`, left to right.
 
@@ -353,10 +349,14 @@ def as_model(source):
 
 
 def window(model_like, start: int, stop: int) -> Word:
-    """Letters at positions start..stop-1 of the model's sequence."""
+    """Letters at positions start..stop-1 of the model's sequence, at most
+    DEFAULT_MATERIALIZE_LIMIT of them."""
     model = as_model(model_like)
     if stop < start:
         raise DomainError(f"empty-or-reversed window [{start}, {stop})")
+    if stop - start > DEFAULT_MATERIALIZE_LIMIT:
+        raise SizeError(f"window of {stop - start} letters is over the cap "
+                        f"{DEFAULT_MATERIALIZE_LIMIT}")
     letters = block_labels(model, 0, start, stop)
     if None in letters:
         model.letter(start + letters.index(None))  # raises the cap error
@@ -478,9 +478,6 @@ class AtlasLevel:
             raise DomainError(f"letter {letter} outside 1..{self.r}")
         return self.handles[letter - 1].word(max_letters)
 
-    def words(self, max_letters: int = DEFAULT_MATERIALIZE_LIMIT) -> list:
-        return [h.word(max_letters) for h in self.handles]
-
 
 def atlas_words(model_like, q: int) -> AtlasLevel:
     """The level-q atlas: one word handle per letter of the alphabet."""
@@ -530,39 +527,33 @@ def block_decompose(model_like, bounds, q: int) -> BlockDecomposition:
     return BlockDecomposition(q=q, start=start, stop=stop, blocks=blocks)
 
 
-def letter_counts(model_like, q: int, letter: Letter) -> tuple:
-    """Occurrences of each alphabet letter in the level-q word `letter`.
-
-    Index 0 of the result counts letter 1.  Computed by the composition
-    recursion, so it works far beyond materializable lengths.
-    """
-    return block_type_counts(model_like, 0, q, letter)
-
-
 def block_type_counts(model_like, base: int, q: int, letter: Letter) -> tuple:
-    """Multiplicity of each level-`base` label inside the level-q word `letter`."""
+    """Multiplicity of each level-`base` label inside the level-q word `letter`.
+
+    Index 0 of the result counts label 1.  Built one level at a time upward
+    from the highest level at or below q already in the model's cache, so it
+    works far beyond materializable lengths; the counts of every label at
+    each level passed are cached.
+    """
     model = as_model(model_like)
     if base < 0 or q < base:
         raise DomainError(f"need 0 <= base <= level, got base={base}, level={q}")
     if not (1 <= letter <= model.r):
         raise DomainError(f"letter {letter} outside 1..{model.r}")
-    cache = model._counts_cache
-    key = (base, q, letter)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if q == base:
-        counts = tuple(1 if i == letter - 1 else 0 for i in range(model.r))
-    else:
-        multiplicities = model.children_count_vector(q, letter)
-        acc = [0] * model.r
-        for child in range(1, model.r + 1):
-            mult = multiplicities[child - 1]
-            if mult == 0:
-                continue
-            sub = block_type_counts(model, base, q - 1, child)
-            for i in range(model.r):
-                acc[i] += mult * sub[i]
-        counts = tuple(acc)
-    cache[key] = counts
-    return counts
+    cache = model._counts_cache  # (base, level) -> counts of labels 1..r
+    level = q
+    while level > base and (base, level) not in cache:
+        level -= 1
+    rows = cache.get((base, level)) or tuple(
+        tuple(int(i == j) for i in range(model.r)) for j in range(model.r))
+    for level in range(level + 1, q + 1):
+        grown = []
+        for parent in range(1, model.r + 1):
+            acc = [0] * model.r
+            for mult, sub in zip(model.children_count_vector(level, parent), rows):
+                if mult:
+                    for i in range(model.r):
+                        acc[i] += mult * sub[i]
+            grown.append(tuple(acc))
+        rows = cache[(base, level)] = tuple(grown)
+    return rows[letter - 1]

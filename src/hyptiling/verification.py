@@ -198,19 +198,11 @@ def check_boundary_recovery() -> CheckResult:
 
 
 def run_all(quick: bool = True) -> list:
-    if quick:
-        return [
-            check_counting_equivalence((0, 1)),
-            check_mass_conservation((0, 1, 2)),
-            check_nesting(((1, 3), (2, 4))),
-            check_contraction(),
-            check_boundary_recovery(),
-            check_height_law(),
-        ]
+    """Every check, in order; quick runs the shorter level arguments."""
     return [
-        check_counting_equivalence(),
-        check_mass_conservation(),
-        check_nesting(),
+        check_counting_equivalence((0, 1) if quick else (0, 1, 2)),
+        check_mass_conservation((0, 1, 2) if quick else (0, 1, 2, 3)),
+        check_nesting(((1, 3), (2, 4)) if quick else ((1, 3), (1, 4), (2, 4))),
         check_contraction(),
         check_boundary_recovery(),
         check_height_law(),

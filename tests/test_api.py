@@ -1,0 +1,39 @@
+"""The public surface: one name per job."""
+
+import dataclasses
+
+import hyptiling
+from hyptiling.measures import TransitionMatrix
+from hyptiling.symbolic import AtlasLevel, ToeplitzModel
+
+# Names that only repeated a job another public name does.
+DELETED = ("letter_counts", "limit_frequencies", "Occurrence",
+           "enumerate_occurrences", "occurrence_table_json")
+
+
+def test_every_listed_name_resolves():
+    for name in hyptiling.__all__:
+        assert hasattr(hyptiling, name), name
+
+
+def test_deleted_names_are_not_listed():
+    for name in DELETED:
+        assert name not in hyptiling.__all__
+        assert not hasattr(hyptiling, name)
+
+
+def test_deleted_methods_and_fields_are_gone():
+    assert not hasattr(ToeplitzModel, "letter_step")
+    assert not hasattr(AtlasLevel, "words")
+    assert not hasattr(TransitionMatrix, "entry")
+    assert not hasattr(TransitionMatrix, "column")
+    fields = {f.name for f in dataclasses.fields(hyptiling.DiffusionConfig)}
+    assert "track_position" not in fields
+
+
+def test_verify_runs_the_same_checks_quick_and_full():
+    from hyptiling.verification import run_all
+
+    quick, full = run_all(quick=True), run_all(quick=False)
+    assert [c.name for c in quick] == [c.name for c in full]
+    assert all(c.passed for c in quick + full)

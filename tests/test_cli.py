@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -68,6 +69,14 @@ class TestGen:
     def test_missing_model_is_usage(self):
         code, _, _ = run(["gen", "--from", "0", "--to", "3"])
         assert code == 2
+
+    @pytest.mark.parametrize("stop", ["1000001", "1000000000"])
+    def test_window_cap_exit(self, stop):
+        code, out, err = run(
+            ["gen", "--model", "substitution", "--from", "0", "--to", stop]
+        )
+        assert code == 5
+        assert out == "" and "cap" in err
 
 
 class TestAtlas:
@@ -160,6 +169,13 @@ class TestMatrices:
         code2, _, _ = run(["matrices", "--model", "toeplitz"])
         assert code2 == 2
 
+    @pytest.mark.parametrize("bound", ["--from", "--to"])
+    def test_level_with_one_range_end(self, bound):
+        code, out, err = run(
+            ["matrices", "--model", "toeplitz", "--level", "1", bound, "3"]
+        )
+        assert code == 2 and out == "" and "usage" in err
+
     def test_paper_scheme_needs_substitution(self):
         code, _, _ = run(
             ["matrices", "--model", "toeplitz", "--scheme", "paper",
@@ -233,6 +249,13 @@ class TestFrequencies:
         assert lines[0] == "letter,numerator,denominator,value"
         assert lines[1].startswith("1,5,9,")
         assert lines[2].startswith("2,4,9,")
+
+    def test_level_deeper_than_the_recursion_limit(self):
+        code, payload = run_json(
+            ["frequencies", "--model", "substitution", "--level", "1500"]
+        )
+        assert code == 0
+        assert sum(Fraction(*num(f)) for f in payload["frequencies"]) == 1
 
     def test_inconclusive_exit(self):
         code, payload = run_json(
@@ -344,6 +367,17 @@ class TestRender:
              "--out", str(tmp_path / "x.svg")]
         )
         assert code == 5
+
+    @pytest.mark.parametrize("width", ["0", "-5", "inf", "nan"])
+    def test_bad_width_exit(self, tmp_path, width):
+        out = tmp_path / "x.svg"
+        code, stdout, err = run(
+            ["render", "--rows", "0", "2", "--x", "0", "4", "--width", width,
+             "--out", str(out)]
+        )
+        assert code == 3
+        assert stdout == "" and "width" in err
+        assert not out.exists()
 
     def test_overlay_box_cap_exit(self, tmp_path):
         out = tmp_path / "x.svg"

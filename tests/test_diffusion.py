@@ -142,9 +142,8 @@ class TestModeEquivalence:
             simulate_path(cfg, mode="banana")
 
     def test_full_mode_tracks_position(self):
-        cfg = DiffusionConfig(SUB, dt=1e-3, horizon=2.0, seed=5,
-                              track_position=True)
-        res = simulate_path(cfg)
+        cfg = DiffusionConfig(SUB, dt=1e-3, horizon=2.0, seed=5)
+        res = simulate_path(cfg, mode="full")
         assert res.mode == "full"
         assert res.col_final is not None
         final = LeafState(u=res.u_final, row=res.row_final,

@@ -13,8 +13,6 @@ from hyptiling import (
     AnchoredTiling,
     CapError,
     DomainError,
-    Occurrence,
-    OccurrenceClass,
     Patch,
     SizeError,
     SubstitutionModel,
@@ -23,11 +21,9 @@ from hyptiling import (
     agreement_radius,
     alpha,
     doubling_map,
-    enumerate_occurrences,
     hull_distance,
     identity_map,
     occurrence_classes,
-    occurrence_table_json,
     patch_partition_check,
     shift_map,
     suspension_project,
@@ -233,34 +229,11 @@ class TestOccurrences:
         with pytest.raises(DomainError):
             occurrence_classes(t3, 1, 2)[0].placement_map(1)
 
-    def test_enumerate_respects_budget(self):
-        sub = SubstitutionModel.standard()
-        explicit = enumerate_occurrences(sub, 1, 1, budget=100)
-        assert all(isinstance(o, Occurrence) for o in explicit)
-        assert len(explicit) == 73
-        compressed = enumerate_occurrences(sub, 1, 1, budget=10)
-        assert all(isinstance(c, OccurrenceClass) for c in compressed)
-        assert sum(c.count for c in compressed) == 73
-
-    def test_explicit_placements_match_classes(self):
-        sub = SubstitutionModel.standard()
-        explicit = enumerate_occurrences(sub, 0, 1, budget=100)
-        classes = occurrence_classes(sub, 0, 1)
-        by_depth = {}
-        for o in explicit:
-            by_depth.setdefault(o.depth, []).append(o)
-        for c in classes:
-            group = by_depth[c.depth]
-            assert len(group) == c.count
-            assert {o.horizontal for o in group} == set(range(c.count))
-            assert all(o.child_letter == c.child_letter for o in group)
-            assert group[1].placement_map() == c.placement_map(1) if c.count > 1 else True
-
     def test_table_json_shape(self):
         t2 = ToeplitzModel.of_rank(2)
-        table = occurrence_table_json(t2, 1, 2)
-        assert table["q"] == 2 and table["parent"] == 2
-        assert table["classes"][1] == {"d": 3, "count": "8", "child": 2}
+        classes = occurrence_classes(t2, 1, 2)
+        assert classes[1].parent_level == 2 and classes[1].parent_letter == 2
+        assert classes[1].to_json() == {"d": 3, "count": "8", "child": 2}
 
     def test_class_cap(self):
         t2 = ToeplitzModel.of_rank(2)
@@ -301,11 +274,6 @@ class TestSuspension:
         frac, shift = suspension_project(AffineMap(Fraction(3, 8), 0))
         assert shift == -2
         assert frac == pytest.approx(math.log2(3) - 1)
-
-    def test_model_argument_validated(self):
-        assert suspension_project(R, ToeplitzModel.of_rank(2)) == (0.0, 1)
-        with pytest.raises(DomainError):
-            suspension_project(R, "not a model")
 
     @given(k=st.integers(-30, 30))
     @settings(max_examples=30, deadline=None)

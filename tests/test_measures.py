@@ -27,11 +27,11 @@ from hyptiling import (
     compose_range,
     contraction_certificate,
     ergodic_measure_count,
+    expected_block_fractions,
     hilbert_distance,
     hilbert_distance_segment,
     hull_contains,
     hull_membership,
-    limit_frequencies,
     mass_conservation_check,
     measure_frequencies,
     nested_simplex,
@@ -91,7 +91,7 @@ class TestTriangleMatrices:
         brute = brute_matrix(model, q)
         for i in range(model.r):
             for j in range(model.r):
-                assert m.entry(i, j) == brute[i][j]
+                assert m.rows[i][j] == brute[i][j]
 
     @pytest.mark.parametrize("model", [SUB, T2, T3], ids=["sub", "t2", "t3"])
     def test_column_sums_count_blocks(self, model):
@@ -103,10 +103,10 @@ class TestTriangleMatrices:
     def test_entries_are_exact(self):
         m = transition_matrix(T2, 4, TRIANGLE)
         assert all(
-            isinstance(m.entry(i, j), (int, Fraction))
+            isinstance(m.rows[i][j], (int, Fraction))
             for i in range(2) for j in range(2)
         )
-        assert sum(m.column(0)) == 3**4
+        assert sum(row[0] for row in m.rows) == 3**4
 
 
 class TestClosedFormMatrices:
@@ -424,13 +424,9 @@ class TestFrequencies:
             measure_frequencies(T2, TRIANGLE, 2, 2, stab)
 
     def test_limit_frequencies_unique_case(self):
-        freqs = limit_frequencies(SUB)
+        freqs = expected_block_fractions(SUB, 0)
         assert freqs[0] == pytest.approx(0.5, abs=1e-9)
         assert freqs[1] == pytest.approx(0.5, abs=1e-9)
-
-    def test_limit_frequencies_need_uniqueness(self):
-        with pytest.raises(DomainError):
-            limit_frequencies(T2)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +609,8 @@ class TestIntegerRepresentation:
     def test_view_is_cached(self):
         m = compose_range(SUB, PAPER, 1, 3)
         assert m.rows is m.rows
-        assert m.column(1) == tuple(row[1] for row in m.rows)
+        assert tuple(row[1] for row in m.rows) == tuple(
+            Fraction(row[1], 1 << m.shift) for row in m.ints)
 
     @pytest.mark.parametrize("scheme,levels", [
         (TRIANGLE, range(2, 12)), (PAPER, range(2, 7)),

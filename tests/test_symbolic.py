@@ -2,6 +2,7 @@
 oracle, and the counting identities."""
 
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,14 +20,13 @@ from hyptiling import (
     atlas_words,
     block_decompose,
     block_type_counts,
-    letter_counts,
     rule_112_122,
     substitution_image,
     window,
     word_from_str,
     word_to_str,
 )
-from hyptiling.symbolic import block_labels
+from hyptiling.symbolic import DEFAULT_MATERIALIZE_LIMIT, block_labels
 
 RULE = rule_112_122()
 # three letters, length 4: image(1) starts with 1 and image(2) ends with 2
@@ -100,7 +100,7 @@ class TestToeplitzLetters:
         oracle = brute_force_filling(r, -p3, p3)
         assert len(oracle) == 2 * p3  # every position is filled by step 6
         for q, (letter, step) in oracle.items():
-            assert model.letter_step(q) == (letter, step), q
+            assert model.block_letter_step(0, q) == (letter, step), q
 
     def test_every_position_defined_by_step_six(self):
         # the full two-sided window of length 2 * p_5, with the cap at 6
@@ -108,11 +108,11 @@ class TestToeplitzLetters:
         p5 = 177147
         worst = 0
         for q in range(-p5, p5, 101):  # stride keeps the sweep under a second
-            _, step = model.letter_step(q)
+            _, step = model.block_letter_step(0, q)
             worst = max(worst, step)
         # edges and block corners, exhaustively near the period boundaries
         for q in list(range(-p5, -p5 + 2200)) + list(range(p5 - 2200, p5)):
-            _, step = model.letter_step(q)
+            _, step = model.block_letter_step(0, q)
             worst = max(worst, step)
         assert worst <= 6
 
@@ -140,6 +140,23 @@ class TestToeplitzLetters:
     def test_reversed_window_rejected(self):
         with pytest.raises(DomainError):
             window(ToeplitzModel.of_rank(2), 5, 4)
+
+    def test_window_cap(self):
+        sub = SubstitutionModel.standard()
+        limit = DEFAULT_MATERIALIZE_LIMIT
+        assert len(window(sub, -5, limit - 5)) == limit
+        with pytest.raises(SizeError, match="cap"):
+            window(sub, -5, limit - 4)
+
+    def test_window_cap_fails_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError):
+                window(SubstitutionModel.standard(), 0, 10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
 
 
 class TestSubstitution:
@@ -374,10 +391,10 @@ class TestBlockDecompose:
 class TestCounting:
     def test_frozen_counts(self):
         sub = SubstitutionModel.standard()
-        assert letter_counts(sub, 1, 1) == (2, 1)
-        assert letter_counts(sub, 2, 1) == (5, 4)
+        assert block_type_counts(sub, 0, 1, 1) == (2, 1)
+        assert block_type_counts(sub, 0, 2, 1) == (5, 4)
         t2 = ToeplitzModel.of_rank(2)
-        assert letter_counts(t2, 1, 2) == (2, 1)
+        assert block_type_counts(t2, 0, 1, 2) == (2, 1)
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_toeplitz_counts_match_materialized(self, r):
@@ -387,7 +404,7 @@ class TestCounting:
             for i in range(1, r + 1):
                 word = lvl.word(i)
                 brute = tuple(word.count(c) for c in range(1, r + 1))
-                assert letter_counts(model, q, i) == brute
+                assert block_type_counts(model, 0, q, i) == brute
 
     def test_substitution_counts_match_materialized(self):
         model = SubstitutionModel.standard()
@@ -396,13 +413,14 @@ class TestCounting:
             for i in (1, 2):
                 word = lvl.word(i)
                 brute = (word.count(1), word.count(2))
-                assert letter_counts(model, q, i) == brute
+                assert block_type_counts(model, 0, q, i) == brute
 
     def test_counts_sum_to_length(self):
         for model in (ToeplitzModel.of_rank(5), SubstitutionModel.standard()):
             for q in (0, 1, 3, 7):
                 for i in range(1, model.r + 1):
-                    assert sum(letter_counts(model, q, i)) == model.level_length(q)
+                    counts = block_type_counts(model, 0, q, i)
+                    assert sum(counts) == model.level_length(q)
 
     def test_block_type_counts_against_decomposition(self):
         t3 = ToeplitzModel.of_rank(3)
@@ -415,9 +433,24 @@ class TestCounting:
             brute[letter - 1] += 1
         assert list(counts) == brute
 
+    def test_counts_deeper_than_the_recursion_limit(self):
+        three = 3**5000
+        assert block_type_counts(SubstitutionModel.standard(), 0, 5000, 1) == (
+            (three + 1) // 2, (three - 1) // 2)
+
+    def test_cached_counts_do_not_depend_on_query_order(self):
+        warm = ToeplitzModel.of_rank(3)
+        block_type_counts(warm, 0, 6, 2)
+        block_type_counts(warm, 1, 6, 2)
+        for base, q in ((1, 3), (1, 8), (0, 6), (1, 6), (1, 1), (2, 7)):
+            for i in (1, 2, 3):
+                cold = ToeplitzModel.of_rank(3)
+                assert block_type_counts(warm, base, q, i) == (
+                    block_type_counts(cold, base, q, i))
+
     def test_deep_counts_without_materialization(self):
         t2 = ToeplitzModel.of_rank(2)
-        counts = letter_counts(t2, 8, 1)
+        counts = block_type_counts(t2, 0, 8, 1)
         assert sum(counts) == t2.level_length(8)  # astronomically long word
 
 
