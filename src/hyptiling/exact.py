@@ -123,7 +123,8 @@ def scalar_to_json(x, shift: int = 0) -> dict:
 def decimal_string(n: int) -> str:
     """Decimal digits of an int of any size, without the int-to-str limit:
     halves of the bits are converted recursively and recombined by exact
-    `decimal` arithmetic (CPython 3.12's _pylong algorithm, faster than str)."""
+    `decimal` arithmetic (CPython 3.12's _pylong algorithm, faster than str);
+    a power of two, such as a dyadic denominator, is one exact power."""
     if n.bit_length() <= 2048:  # below any digit limit Python allows
         return str(n)
     D = decimal.Decimal
@@ -140,6 +141,8 @@ def decimal_string(n: int) -> str:
 
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                           traps=[decimal.Inexact])
+    m = abs(n)
     with decimal.localcontext(ctx):
-        digits = str(convert(abs(n), n.bit_length()))
+        digits = str(convert(m, m.bit_length()) if m & (m - 1)
+                     else D(2) ** (m.bit_length() - 1))
     return "-" + digits if n < 0 else digits

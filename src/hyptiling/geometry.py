@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import CapError, DomainError, SizeError
 from .exact import exact, floor_log2_fraction, log_fraction, log2_fraction, pow2
@@ -156,7 +157,7 @@ class Patch:
             row = self.apex.row - j
             base = self.apex.col << j
             for k in range(1 << j):
-                yield TileAddress(row=row, col=base + k), color
+                yield TileAddress(row, base + k), color
 
     def region(self) -> tuple:
         """Bounding (x0, x1, y0, y1): each depth spans the apex x-extent."""
@@ -187,13 +188,6 @@ class OccurrenceClass:
             )
         scale = pow2(-self.depth)
         return AffineMap(scale, horizontal * scale)
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.depth,
-            "count": str(self.count),
-            "child": self.child_letter,
-        }
 
 
 def occurrence_classes(model_like, q: int, parent_letter: int,
@@ -237,20 +231,20 @@ def patch_partition_check(apex_row: int, apex_cols: range, depth: int) -> dict:
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    seen = set()
-    doubled = 0
-    for apex_col in apex_cols:
-        patch = Patch(word=(1,) * depth, apex=TileAddress(apex_row, apex_col))
-        for tile, _ in patch.tiles():
-            if tile in seen:
-                doubled += 1
-            seen.add(tile)
+    # Tiles are keyed by their (row, col) ints: tuples hash and compare in C.
+    covered = [
+        (tile.row, tile.col)
+        for apex_col in apex_cols
+        for tile, _ in Patch((1,) * depth, TileAddress(apex_row, apex_col)).tiles()
+    ]
+    seen = set(covered)
+    doubled = len(covered) - len(seen)
     expected = set()
     for j in range(depth):
         row = apex_row - j
         for apex_col in apex_cols:
             base = apex_col << j
-            expected.update(TileAddress(row, base + k) for k in range(1 << j))
+            expected.update(zip(repeat(row), range(base, base + (1 << j))))
     missing = len(expected - seen)
     extra = len(seen - expected)
     return {

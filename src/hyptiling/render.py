@@ -102,12 +102,12 @@ def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
     """
     row_lo, row_hi = int(rows[0]), int(rows[1])
     x_min, x_max = float(x_range[0]), float(x_range[1])
-    if not (x_min < x_max):
-        raise DomainError(f"empty x-window [{x_min}, {x_max}]")
+    if not (0 < x_max - x_min < math.inf):
+        raise DomainError(f"x-window [{x_min}, {x_max}] needs a finite positive width")
     if max(abs(row_lo), abs(row_hi)) > 1000:
         raise DomainError("row indices beyond float range")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not (tol > 0):
+        raise DomainError(f"tolerance {tol} must be positive")
     if not (0 < width_px < math.inf):
         raise DomainError(f"image width {width_px} must be positive and finite")
     model = as_model(model_like) if model_like is not None else None

@@ -31,13 +31,14 @@ Word = tuple  # tuple of Letter
 #: handles with O(level) random access instead.
 DEFAULT_MATERIALIZE_LIMIT = 10**6
 
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # letters as digits
+
 
 def word_to_str(word: Iterable[int], r: int) -> str:
     """Digit string for r <= 9, comma-separated otherwise."""
-    letters = list(word)
     if r <= 9:
-        return "".join(str(a) for a in letters)
-    return ",".join(str(a) for a in letters)
+        return bytes(word).translate(_DIGITS).decode("ascii")
+    return ",".join(str(a) for a in word)
 
 
 def word_from_str(text: str) -> Word:

@@ -379,6 +379,27 @@ class TestRender:
         assert stdout == "" and "width" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--x", "0", "inf"], ["--x", "0", "1", "--tol", "nan"],
+    ])
+    def test_bad_window_or_tolerance_exit(self, tmp_path, flags):
+        out = tmp_path / "y.svg"
+        code, stdout, err = run(
+            ["render", "--rows", "0", "0", *flags, "--out", str(out)]
+        )
+        assert code == 3
+        assert stdout == "" and err
+        assert not out.exists()
+
+    def test_infinite_tolerance_is_valid(self, tmp_path):
+        out = tmp_path / "y.svg"
+        code, stdout, _ = run(
+            ["render", "--rows", "0", "0", "--x", "0", "1", "--tol", "inf",
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert json.loads(stdout)["tiles"] == 1
+
     def test_overlay_box_cap_exit(self, tmp_path):
         out = tmp_path / "x.svg"
         code, stdout, err = run(

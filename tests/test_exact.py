@@ -3,6 +3,7 @@
 import decimal
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,20 @@ class TestDecimalStrings:
             digits = decimal_string(n)
             assert digits.lstrip("-")[0] != "0"
             assert decimal.Decimal(digits) == decimal.Decimal(n)
+
+    def test_matches_str_past_the_digit_limit(self):
+        """Powers of two take their own route; both routes must match str()."""
+        rng = random.Random(9)
+        cases = [sign << k for k in (2047, 2048, 2049, 531_416)
+                 for sign in (1, -1)]
+        cases += [rng.getrandbits(100_000) | (1 << 99_999) for _ in range(3)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for n in cases:
+                assert decimal_string(n) == str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_dyadic_reduction(self):
         assert scalar_to_json(20, 4) == {"num": "5", "den": "4"}

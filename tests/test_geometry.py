@@ -233,7 +233,8 @@ class TestOccurrences:
         t2 = ToeplitzModel.of_rank(2)
         classes = occurrence_classes(t2, 1, 2)
         assert classes[1].parent_level == 2 and classes[1].parent_letter == 2
-        assert classes[1].to_json() == {"d": 3, "count": "8", "child": 2}
+        assert (classes[1].depth, classes[1].count, classes[1].child_letter) == (
+            3, 8, 2)
 
     def test_class_cap(self):
         t2 = ToeplitzModel.of_rank(2)
@@ -257,6 +258,33 @@ class TestPartition:
     def test_depth_must_be_positive(self):
         with pytest.raises(DomainError):
             patch_partition_check(0, range(0, 1), 0)
+
+    @pytest.mark.parametrize("fault, key, tiles", [
+        ("drop", "uncovered", -1),
+        ("duplicate", "doubly_covered", 0),
+        ("outside", "outside", 1),
+    ])
+    def test_faulty_patch_is_caught(self, monkeypatch, fault, key, tiles):
+        """One patch of the row yields a wrong tile set; the report names it."""
+        enumerate_tiles = Patch.tiles
+
+        def faulty(patch):
+            out = list(enumerate_tiles(patch))
+            if patch.apex.col != 0:
+                return out
+            if fault == "drop":
+                return out[:-1]
+            if fault == "duplicate":
+                return out + out[-1:]
+            above = TileAddress(patch.apex.row + 1, patch.apex.col)
+            return out + [(above, 1)]
+
+        monkeypatch.setattr(Patch, "tiles", faulty)
+        report = patch_partition_check(4, range(-3, 5), 5)
+        counts = {"doubly_covered": 0, "uncovered": 0, "outside": 0}
+        counts[key] = 1
+        assert report == {"tiles": 8 * (2**5 - 1) + tiles, **counts,
+                          "exact": False}
 
 
 class TestSuspension:

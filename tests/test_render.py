@@ -139,6 +139,15 @@ class TestRenderCounts:
         with pytest.raises(DomainError):
             render_svg(SUB, (0, 2000), (0.0, 1.0), out)
 
+    @pytest.mark.parametrize("x_range", [
+        (0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308),
+    ])
+    def test_window_of_infinite_width(self, tmp_path, x_range):
+        out = tmp_path / "wide.svg"
+        with pytest.raises(DomainError, match="finite positive width"):
+            render_svg(SUB, (0, 0), x_range, str(out))
+        assert not out.exists()
+
 
 class TestColoring:
     def test_default_palette_tracks_letters(self, tmp_path):
