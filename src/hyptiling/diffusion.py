@@ -12,10 +12,12 @@ is always O(sqrt(dt)).
 Each path draws its noise as two Philox streams, du (stream 0) and dx
 (stream 1), streamed in chunks of CHUNK steps so that memory per path stays
 constant.  The two execution modes share the du stream and agree bit for
-bit: "fast" draws du only and vectorizes the height chain and row occupancy
-chunk by chunk, carrying u across chunks; "full" draws both streams, walks
-step by step and also tracks the column as an arbitrary-precision integer
-through the doubling/halving renormalization at each row crossing.
+bit.  "fast" draws du only, into per-path buffers that every chunk reuses
+(cumsum, division by ln 2 and floor run in place), and reads occupancy,
+colorability and crossings from the runs of equal rows alone; "full" draws
+both streams, walks step by step and also tracks the column as an
+arbitrary-precision integer through the doubling/halving renormalization at
+each row crossing.
 """
 
 from __future__ import annotations
@@ -166,12 +168,14 @@ class PathResult:
         return out
 
 
-def _noise(config: DiffusionConfig, path_index: int, stream: int):
+def _noise(config: DiffusionConfig, path_index: int, stream: int, out=None):
     """Increments of one noise stream, CHUNK steps at a time.
 
     Stream 0 is the height increment du = sqrt(dt) * xi - dt/2, stream 1 the
     horizontal dx = sqrt(dt) * xi.  Each stream has its own Philox key, so a
     mode draws only the streams it reads and both modes see the same du.
+    Each chunk is yielded as a view of out (at least min(CHUNK, n_steps)
+    long, allocated once if not given) and overwritten by the next.
     """
     import numpy as np
 
@@ -180,8 +184,11 @@ def _noise(config: DiffusionConfig, path_index: int, stream: int):
     rng = np.random.Generator(np.random.Philox(seq))
     sqrt_dt = math.sqrt(config.dt)
     n = config.n_steps
+    if out is None:
+        out = np.empty(min(CHUNK, n))
     for done in range(0, n, CHUNK):
-        draws = rng.standard_normal(min(CHUNK, n - done))
+        draws = out[:min(CHUNK, n - done)]
+        rng.standard_normal(out=draws)
         draws *= sqrt_dt
         if stream == 0:
             draws -= config.dt / 2.0
@@ -216,35 +223,47 @@ def _walk_fast(config: DiffusionConfig, start: LeafState,
     n = config.n_steps
     stride = config.trace_stride
     u, row = start.u, start.row
-    row_steps = {}
-    crossings = 0
-    steps_used = 0
-    stop_row = None
-    trace = []
-    for du in _noise(config, path_index, 0):
-        # Starting the cumsum from u adds in the same order as u + du_k.
-        u_path = np.cumsum(np.concatenate(([u], du)))
-        rows = np.floor(u_path / LN2).astype(np.int64)
-        used = len(du)
-        lo = int(rows[:used].min())
-        labels = block_labels(config.model, 0, lo, int(rows[:used].max()) + 1)
+    row_steps, trace, stop_row = {}, [], None
+    crossings = steps_used = 0
+    # Slot 0 carries u into the chunk and the noise fills slots 1.., so one
+    # in-place cumsum adds in the same order as u + du_k.
+    u_buf = np.empty(min(CHUNK, n) + 1)
+    rows_buf = np.empty_like(u_buf)  # floor(u / ln 2), as floats
+    moved = np.ones(len(u_buf), dtype=bool)  # True where a run of rows starts
+    for du in _noise(config, path_index, 0, u_buf[1:]):
+        m = len(du)
+        u_path, rows = u_buf[:m + 1], rows_buf[:m + 1]
+        u_path[0] = u
+        np.cumsum(u_path, out=u_path)
+        np.floor(np.divide(u_path, LN2, out=rows), out=rows)
+        np.not_equal(rows[1:], rows[:-1], out=moved[1:m + 1])
+        moved[m] = True  # the end state closes the last run
+        starts = np.flatnonzero(moved[:m + 1])
+        run_rows = rows[starts].astype(np.int64)
+        runs = len(starts) - 1  # the runs of steps 0..m-1
+        used = m
+        lo = int(run_rows[:runs].min())
+        labels = block_labels(config.model, 0, lo, int(run_rows[:runs].max()) + 1)
         if None in labels:
             colorable = np.array([a is not None for a in labels], dtype=bool)
-            bad = ~colorable[rows[:used] - lo]
+            bad = ~colorable[run_rows[:runs] - lo]
             if bad.any():
-                used = int(np.argmax(bad))
-                stop_row = int(rows[used])
+                runs = int(np.argmax(bad))
+                used = int(starts[runs])
+                stop_row = int(run_rows[runs])
         if stride > 0:
             first = -steps_used % stride
             last = used if stop_row is None else used + 1
             trace.extend(zip(range(steps_used + first, steps_used + last, stride),
                              u_path[first:last:stride].tolist(),
-                             rows[first:last:stride].tolist()))
-        counts = np.bincount(rows[:used] - lo)
+                             rows[first:last:stride].astype(np.int64).tolist()))
+        counts = np.bincount(run_rows[:runs] - lo,
+                             weights=starts[1:runs + 1] - starts[:runs])
         occupied = np.flatnonzero(counts)
         for r, c in zip((occupied + lo).tolist(), counts[occupied].tolist()):
-            row_steps[r] = row_steps.get(r, 0) + c
-        crossings += int(np.abs(np.diff(rows[: used + 1])).sum())
+            row_steps[r] = row_steps.get(r, 0) + int(c)
+        # Consecutive runs differ by the whole jump, however many rows it spans.
+        crossings += int(np.abs(run_rows[1:runs + 1] - run_rows[:runs]).sum())
         steps_used += used
         u, row = float(u_path[used]), int(rows[used])
         if stop_row is not None:
@@ -273,15 +292,9 @@ def _walk_full(config: DiffusionConfig, start: LeafState,
             colorable[r] = block_labels(config.model, 0, r, r + 1)[0] is not None
         return colorable[r]
 
-    u = start.u
-    row = start.row
-    col = start.col
-    frac = start.x_frac
-    row_steps = {}
-    crossings = 0
-    stop_row = None
-    steps_used = n
-    trace = []
+    u, row, col, frac = start.u, start.row, start.col, start.x_frac
+    row_steps, trace, stop_row = {}, [], None
+    crossings, steps_used = 0, n
     stride = config.trace_stride
     row_ok = is_colorable(row)
     entered = 0  # the step at which the walk entered the current row
@@ -589,25 +602,17 @@ def garnett_compare(config: DiffusionConfig, q: int = 0,
             "raise the model's filling-depth cap"
         )
 
-    r_letters = model.r
-    per_path = []
-    totals = [0] * r_letters
-    grand_total = 0
-    for res in complete:
-        steps = res.block_steps(model, q)
-        used = sum(steps.values())
-        frac = [steps.get(i, 0) / used if used else 0.0 for i in range(1, r_letters + 1)]
-        per_path.append(frac)
-        for i in range(1, r_letters + 1):
-            totals[i - 1] += steps.get(i, 0)
-        grand_total += used
-
-    empirical = [t / grand_total for t in totals]
-    arr = np.asarray(per_path, dtype=np.float64)
+    counts = [[steps.get(i, 0) for i in range(1, model.r + 1)]
+              for steps in (res.block_steps(model, q) for res in complete)]
+    used = [sum(row) for row in counts]
+    grand_total = sum(used)
+    empirical = [sum(column) / grand_total for column in zip(*counts)]
+    per_path = [[c / u if u else 0.0 for c in row] for row, u in zip(counts, used)]
     if len(complete) > 1:
-        bands = (1.96 * np.std(arr, axis=0, ddof=1) / math.sqrt(len(complete))).tolist()
+        bands = (1.96 * np.std(per_path, axis=0, ddof=1)
+                 / math.sqrt(len(complete))).tolist()
     else:
-        bands = [math.inf] * r_letters
+        bands = [math.inf] * model.r
 
     count = ergodic_measure_count(model, scheme)
     unique = count.status == "stabilized" and count.count == 1
@@ -620,19 +625,12 @@ def garnett_compare(config: DiffusionConfig, q: int = 0,
     else:
         note = "non-uniquely-ergodic: no single expectation"
 
-    rows = []
-    for i in range(r_letters):
-        entry = {
-            "label": i + 1,
-            "empirical": empirical[i],
-            "band": bands[i],
-            "expected": expected[i] if expected is not None else None,
-        }
-        if expected is not None:
-            entry["within_band"] = abs(empirical[i] - expected[i]) <= max(
-                bands[i], 1e-12
-            )
-        rows.append(entry)
+    rows = [{"label": i + 1, "empirical": e, "band": b,
+             "expected": None if expected is None else expected[i]}
+            for i, (e, b) in enumerate(zip(empirical, bands))]
+    for entry in rows if expected is not None else ():
+        entry["within_band"] = (abs(entry["empirical"] - entry["expected"])
+                                <= max(entry["band"], 1e-12))
 
     return {
         "level": q,

@@ -25,6 +25,10 @@ from .errors import CapError, DomainError, SizeError
 from .symbolic import as_model
 
 MAX_TILES = 50_000
+#: Points of one tile outline.  A window far narrower than a tile shrinks the
+#: world tolerance until every arc bisects to depth 16 (196,610 points); arcs
+#: of depth 13 (24,578 points) still fit.
+MAX_OUTLINE_POINTS = 32_768
 
 DEFAULT_PALETTE = (
     "#4e79a7", "#f28e2b", "#59a14c", "#e15759", "#b07aa1",
@@ -79,10 +83,9 @@ def _row_outline(width: float, tol_world: float) -> list:
     return [(c, dx, y) for c, arc in arcs for dx, y in arc]
 
 
-def _row_paths(width, n_lo, n_hi, fill, tol_world, x_min, y_hi, scale):
-    """The path elements of tiles n_lo..n_hi-1 of the row of this width;
-    fill comes escaped for the format template."""
-    points = _row_outline(width, tol_world)
+def _row_paths(width, points, n_lo, n_hi, fill, x_min, y_hi, scale):
+    """The path elements of tiles n_lo..n_hi-1 of the row of this width and
+    outline; fill comes escaped for the format template."""
     d = " L".join(f"%.4f,{(y_hi - y) * scale:.4f}" for _, _, y in points)
     template = f'<path fill-opacity="0.75" d="M{d} Z" fill="{fill}" />'
     offsets = [(c, dx) for c, dx, _ in points]
@@ -118,7 +121,7 @@ def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
     y_hi = math.ldexp(1.0, row_hi + 1) if has_rows else 1.0
     if y_clip is not None:
         c_lo, c_hi = float(y_clip[0]), float(y_clip[1])
-        if not (0 < c_lo < c_hi):
+        if not (0 < c_lo < c_hi < math.inf):
             raise DomainError(f"bad height clip [{c_lo}, {c_hi}]")
         y_lo, y_hi = c_lo, c_hi
 
@@ -127,7 +130,7 @@ def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
     tol_world = tol / scale
 
     drawn = 0
-    bands = []  # (width, n_lo, n_hi, fill) of each row the clip keeps
+    bands = []  # (width, outline, n_lo, n_hi, fill) of each row the clip keeps
     for row in range(row_lo, row_hi + 1):
         width = math.ldexp(1.0, row)
         if 2.0 * width <= y_lo or width >= y_hi:
@@ -140,13 +143,20 @@ def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
                 f"window holds more than {MAX_TILES} tiles; "
                 "shrink the x-range or raise the lowest row"
             )
+        outline = _row_outline(width, tol_world)
+        if len(outline) > MAX_OUTLINE_POINTS:
+            raise SizeError(
+                f"a row-{row} tile outline holds {len(outline)} points, more "
+                f"than {MAX_OUTLINE_POINTS}; widen the x-range or raise the "
+                "tolerance"
+            )
         fill = UNCOLORED
         if model is not None:
             try:
                 fill = colors[(model.letter(row) - 1) % len(colors)]
             except CapError:
                 pass
-        bands.append((width, n_lo, n_hi, fill.translate(_FILL_ESCAPES)))
+        bands.append((width, outline, n_lo, n_hi, fill.translate(_FILL_ESCAPES)))
     levels = []  # (q, [(width, n_lo, n_hi) of each apex row]) per level
     boxes = 0
     for q in map(int, overlay_levels):
@@ -176,7 +186,7 @@ def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
             out.write('<g stroke="#333333" stroke-width="0.8"'
                       + (">" if bands else " />"))
             for band in bands:
-                out.writelines(_row_paths(*band, tol_world, x_min, y_hi, scale))
+                out.writelines(_row_paths(*band, x_min, y_hi, scale))
             out.write("</g>" if bands else "")
         for idx, (q, spans) in enumerate(levels if has_rows else ()):
             stroke = OVERLAY_STROKES[idx % len(OVERLAY_STROKES)]

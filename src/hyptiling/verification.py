@@ -6,10 +6,11 @@ of them passing is strong evidence the pieces compose correctly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .diffusion import DiffusionConfig, height_law_test, run_paths
+from .diffusion import (DiffusionConfig, PathResult, height_law_test, run_paths,
+                        simulate_path)
 from .geometry import occurrence_classes
 from .harmonic import BoundaryAtoms, boundary_recover, herglotz_evaluator
 from .measures import (
@@ -157,6 +158,38 @@ def check_height_law(seed: int = 2024) -> CheckResult:
     )
 
 
+#: PathResult fields both modes fill; full mode alone tracks the column.
+_SHARED_FIELDS = tuple(f.name for f in fields(PathResult)
+                       if f.name not in ("mode", "col_final", "x_frac_final"))
+
+
+def check_mode_agreement(seed: int = 2024) -> CheckResult:
+    """Fast mode (vectorized chunks, occupancy from row changes) versus full
+    mode (step by step) on the same noise.  Steps of dt = 1 cross several
+    rows at a time, and the depth-3 Toeplitz filling truncates the path."""
+    jump = truncated = 0
+    for label, model in (("substitution", SubstitutionModel.standard()),
+                         ("toeplitz-r2-depth3",
+                          ToeplitzModel.of_rank(2, max_depth=3))):
+        config = DiffusionConfig(model, dt=1.0, horizon=100.0, seed=seed,
+                                 trace_stride=1)
+        fast = simulate_path(config, mode="fast")
+        full = simulate_path(config, mode="full")
+        differ = [name for name in _SHARED_FIELDS
+                  if getattr(fast, name) != getattr(full, name)]
+        if differ:
+            return CheckResult("mode-agreement", False,
+                               f"{label}: fast and full mode differ on {differ}")
+        rows = [row for _, _, row in fast.trace]
+        jump = max([jump] + [abs(b - a) for a, b in zip(rows, rows[1:])])
+        truncated += fast.partial
+    return CheckResult(
+        "mode-agreement", True,
+        f"fast and full mode agree on {len(_SHARED_FIELDS)} fields of 2 paths "
+        f"({truncated} truncated), with steps of up to {jump} rows",
+    )
+
+
 def _atoms_interval_mass(measure: BoundaryAtoms, a, b, y) -> float:
     """Closed form of what boundary_recover integrates: the Poisson kernel of
     an atom integrates to an arctangent, the slope term to slope * y."""
@@ -206,4 +239,5 @@ def run_all(quick: bool = True) -> list:
         check_contraction(),
         check_boundary_recovery(),
         check_height_law(),
+        check_mode_agreement(),
     ]

@@ -2,6 +2,8 @@
 
 import dataclasses
 
+import pytest
+
 import hyptiling
 from hyptiling.measures import TransitionMatrix
 from hyptiling.symbolic import AtlasLevel, ToeplitzModel
@@ -37,3 +39,26 @@ def test_verify_runs_the_same_checks_quick_and_full():
     quick, full = run_all(quick=True), run_all(quick=False)
     assert [c.name for c in quick] == [c.name for c in full]
     assert all(c.passed for c in quick + full)
+
+
+@pytest.mark.parametrize("field", ["row_crossings", "row_steps", "trace"])
+def test_mode_agreement_check_catches_a_differing_field(monkeypatch, field):
+    from hyptiling import diffusion, verification
+
+    walk = diffusion._walk_fast
+
+    def off_by_one(*args):
+        fields = walk(*args)
+        value = fields[field]
+        if field == "row_crossings":
+            fields[field] = value + 1
+        elif field == "row_steps":
+            fields[field] = {**value, 10**6: 1}
+        else:
+            fields[field] = value[:-1]
+        return fields
+
+    monkeypatch.setattr(diffusion, "_walk_fast", off_by_one)
+    check = verification.check_mode_agreement()
+    assert check.name == "mode-agreement" and not check.passed
+    assert field in check.detail

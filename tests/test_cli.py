@@ -400,6 +400,26 @@ class TestRender:
         assert code == 0
         assert json.loads(stdout)["tiles"] == 1
 
+    def test_infinite_height_clip_exit(self, tmp_path):
+        out = tmp_path / "y.svg"
+        code, stdout, err = run(
+            ["render", "--rows", "0", "0", "--x", "0", "1", "--y-clip", "1",
+             "inf", "--out", str(out)]
+        )
+        assert code == 3
+        assert stdout == "" and "clip" in err
+        assert not out.exists()
+
+    def test_outline_point_cap_exit(self, tmp_path):
+        out = tmp_path / "y.svg"
+        code, stdout, err = run(
+            ["render", "--rows", "0", "0", "--x", "0", "1e-300", "--out",
+             str(out)]
+        )
+        assert code == 5
+        assert stdout == "" and "outline" in err
+        assert not out.exists()
+
     def test_overlay_box_cap_exit(self, tmp_path):
         out = tmp_path / "x.svg"
         code, stdout, err = run(
@@ -416,15 +436,15 @@ class TestVerify:
         code, payload = run_json(["verify", "--json"])
         assert code == 0
         assert payload["all_passed"] is True
-        assert len(payload["checks"]) == 6
+        assert len(payload["checks"]) == 7
         names = {c["name"] for c in payload["checks"]}
-        assert len(names) == 6
+        assert len(names) == 7 and "mode-agreement" in names
 
     def test_text_lines(self):
         code, out, _ = run(["verify"])
         assert code == 0
         lines = out.strip().splitlines()
-        assert len(lines) == 6
+        assert len(lines) == 7
         assert all(line.startswith("[PASS]") for line in lines)
 
 

@@ -3,15 +3,19 @@ height law, occupancy comparisons."""
 
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyptiling import (
     CapError,
     DiffusionConfig,
     DomainError,
     LeafState,
+    PathResult,
     SizeError,
     SubstitutionModel,
     ToeplitzModel,
@@ -24,8 +28,10 @@ from hyptiling import (
     simulate_path,
     tile_containing_point,
 )
+from hyptiling import diffusion
 from hyptiling.diffusion import (
     CHUNK,
+    LN2,
     MAX_TRACE_POINTS,
     _noise,
     expected_block_fractions,
@@ -197,13 +203,84 @@ class TestChunkedNoise:
     @pytest.mark.parametrize("stream, drift", [(0, 1e-3 / 2.0), (1, 0.0)])
     def test_chunks_concatenate_to_one_draw(self, stream, drift):
         cfg = DiffusionConfig(SUB, dt=1e-3, horizon=150.0, seed=5)
-        chunks = list(_noise(cfg, 3, stream))
+        # each chunk is a view of the caller's buffer, overwritten by the next
+        out = np.empty(CHUNK)
+        chunks = []
+        for chunk in _noise(cfg, 3, stream, out):
+            assert np.shares_memory(chunk, out)
+            chunks.append(chunk.copy())
         n = cfg.n_steps
         assert [len(c) for c in chunks] == [CHUNK, CHUNK, n - 2 * CHUNK]
         key = np.random.SeedSequence(entropy=5, spawn_key=(3, stream))
         draws = np.random.Generator(np.random.Philox(key)).standard_normal(n)
         expected = draws * math.sqrt(1e-3) - drift
         assert np.array_equal(np.concatenate(chunks), expected)
+
+
+#: Every PathResult field both modes fill; full mode alone tracks the column.
+SHARED_FIELDS = tuple(f.name for f in fields(PathResult)
+                      if f.name not in ("mode", "col_final", "x_frac_final"))
+#: A model that colors every row, and ones whose capped filling truncates.
+MODELS = (SUB, ToeplitzModel.of_rank(2, max_depth=1),
+          ToeplitzModel.of_rank(2, max_depth=2),
+          ToeplitzModel.of_rank(2, max_depth=3))
+
+
+def run_both(model, dt, steps, stride, seed, u0, chunk):
+    """The same path in both modes, with noise chunks of the given size."""
+    cfg = DiffusionConfig(model, dt=dt, horizon=steps * dt, seed=seed,
+                          trace_stride=stride)
+    start = LeafState(u=u0, row=math.floor(u0 / LN2), col=0, x_frac=0.5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diffusion, "CHUNK", chunk)
+        return (simulate_path(cfg, start, mode="fast"),
+                simulate_path(cfg, start, mode="full"))
+
+
+class TestModeAgreement:
+    """Fast and full mode agree on every shared field, whatever the step size
+    (up to several rows a step), truncation, trace stride or chunk size."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=st.sampled_from(MODELS),
+           dt=st.floats(-3.0, math.log10(4.0)).map(lambda e: 10.0**e),
+           steps=st.integers(0, 300),
+           stride=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1),
+           u0=st.floats(-6.0, 6.0),
+           chunk=st.sampled_from((1, 2, 3, 7, 64, CHUNK)))
+    @example(model=SUB, dt=1e-3, steps=0, stride=1, seed=0, u0=0.4, chunk=CHUNK)
+    @example(model=MODELS[1], dt=4.0, steps=300, stride=7, seed=1, u0=0.0,
+             chunk=CHUNK)
+    @example(model=MODELS[1], dt=1.0, steps=3, stride=1, seed=6, u0=0.0,
+             chunk=2)  # the last step lands on an uncolorable row
+    def test_every_shared_field(self, model, dt, steps, stride, seed, u0, chunk):
+        fast, full = run_both(model, dt, steps, stride, seed, u0, chunk)
+        for name in SHARED_FIELDS:
+            assert getattr(fast, name) == getattr(full, name), name
+
+    def test_chunk_edges_are_exercised(self):
+        """Over these seeds, truncations and row changes fall on the first and
+        the last step of a 4-step chunk, a complete path ends on a row the
+        model cannot color, and the modes still agree."""
+        chunk = 4
+        seen = set()
+        for seed, steps in zip(range(80), [40] * 40 + [3] * 40):
+            fast, full = run_both(MODELS[1], 1.0, steps, 1, seed, 0.0, chunk)
+            for name in SHARED_FIELDS:
+                assert getattr(fast, name) == getattr(full, name), name
+            edges = {0: "first", chunk - 1: "last"}
+            if fast.partial and fast.steps_used % chunk in edges:
+                seen.add(("truncation", edges[fast.steps_used % chunk]))
+            if not fast.partial and fast.row_final % 3 == 1:  # uncolored row
+                seen.add(("ends uncolored", True))
+            for (k, _, a), (_, _, b) in zip(fast.trace, fast.trace[1:]):
+                if a != b and k % chunk in edges:
+                    seen.add(("row change", edges[k % chunk]))
+                    seen.add(("jump", abs(b - a) > 1))
+        assert seen >= {("truncation", "first"), ("truncation", "last"),
+                        ("row change", "first"), ("row change", "last"),
+                        ("jump", True), ("ends uncolored", True)}
 
 
 class TestBoundedMemory:

@@ -15,7 +15,12 @@ from hyptiling import (
     ToeplitzModel,
     render_svg,
 )
-from hyptiling.render import UNCOLORED, _arc_points, _row_outline
+from hyptiling.render import (
+    MAX_OUTLINE_POINTS,
+    UNCOLORED,
+    _arc_points,
+    _row_outline,
+)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 SUB = SubstitutionModel.standard()
@@ -148,6 +153,17 @@ class TestRenderCounts:
             render_svg(SUB, (0, 0), x_range, str(out))
         assert not out.exists()
 
+    def test_outline_point_cap(self, tmp_path):
+        # a window 1/1000 of the tile wide: 24,578 points per outline
+        out = tmp_path / "narrow.svg"
+        assert render_svg(None, (0, 0), (0.0, 1e-3), str(out)) == 1
+        assert 24_578 <= MAX_OUTLINE_POINTS < 32_770
+        out.unlink()
+        for width in (5e-4, 1e-300):  # 32,770 and 196,610 points
+            with pytest.raises(SizeError, match="outline"):
+                render_svg(None, (0, 0), (0.0, width), str(out))
+            assert not out.exists()
+
 
 class TestColoring:
     def test_default_palette_tracks_letters(self, tmp_path):
@@ -235,6 +251,14 @@ class TestClipping:
         # rows 0..3 requested but the clip keeps only row 0's band [1, 2)
         count = render_svg(SUB, (0, 3), (0.0, 4.0), str(out), y_clip=(1.0, 2.0))
         assert count == 4
+
+    @pytest.mark.parametrize("y_clip", [(1.0, math.inf), (0.0, 1.0),
+                                        (2.0, 1.0), (1.0, math.nan)])
+    def test_bad_clip_leaves_no_file(self, tmp_path, y_clip):
+        out = tmp_path / "clip.svg"
+        with pytest.raises(DomainError, match="height clip"):
+            render_svg(SUB, (0, 3), (0.0, 4.0), str(out), y_clip=y_clip)
+        assert not out.exists()
 
     def test_declaration_and_size(self, tmp_path):
         out = tmp_path / "decl.svg"
