@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 
 from .diffusion import (
     DiffusionConfig,
@@ -37,6 +36,7 @@ from .measures import (
     measure_frequencies,
     transition_matrix,
 )
+from .record import record
 from .render import render_svg
 from .symbolic import (
     SubstitutionModel,
@@ -54,7 +54,7 @@ class _CliUsage(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Opt:
     flag: str
     dest: str = None

@@ -23,13 +23,13 @@ each row crossing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 from .errors import CapError, DomainError, SizeError
 from .geometry import tile_containing_point
 from .measures import TRIANGLE, ergodic_measure_count
+from .record import record
 from .symbolic import as_model, block_labels, block_type_counts
 
 LN2 = math.log(2.0)
@@ -42,7 +42,7 @@ MAX_TRACE_POINTS = 10**6
 CHUNK = 2**16
 
 
-@dataclass(frozen=True)
+@record
 class DiffusionConfig:
     model: object
     dt: float = 1e-3
@@ -79,7 +79,7 @@ class DiffusionConfig:
         return max(0, math.ceil(ratio - 1e-9 * max(1.0, abs(ratio))))
 
 
-@dataclass(frozen=True)
+@record
 class LeafState:
     """Walker position: log-height plus tile-relative horizontal data."""
 
@@ -120,7 +120,7 @@ def default_start() -> LeafState:
     return LeafState(u=math.log(1.5), row=0, col=0, x_frac=0.5)
 
 
-@dataclass(frozen=True)
+@record
 class PathResult:
     path_index: int
     mode: str
@@ -279,8 +279,10 @@ def _walk_fast(config: DiffusionConfig, start: LeafState,
 def _walk_full(config: DiffusionConfig, start: LeafState,
                path_index: int) -> dict:
     n = config.n_steps
+    # memoryview yields each chunk's doubles without building lists; safe
+    # because _noise overwrites its buffers only once the chunk is consumed.
     steps = chain.from_iterable(
-        zip(range(done, done + len(du)), du.tolist(), dx.tolist())
+        zip(range(done, done + len(du)), memoryview(du), memoryview(dx))
         for done, du, dx in zip(range(0, n, CHUNK),
                                 _noise(config, path_index, 0),
                                 _noise(config, path_index, 1))
@@ -606,6 +608,8 @@ def garnett_compare(config: DiffusionConfig, q: int = 0,
               for steps in (res.block_steps(model, q) for res in complete)]
     used = [sum(row) for row in counts]
     grand_total = sum(used)
+    if not grand_total:
+        raise DomainError(f"no complete path took a step (horizon {config.horizon})")
     empirical = [sum(column) / grand_total for column in zip(*counts)]
     per_path = [[c / u if u else 0.0 for c in row] for row, u in zip(counts, used)]
     if len(complete) > 1:

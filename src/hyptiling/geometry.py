@@ -12,12 +12,12 @@ agreement metric between two decorated tilings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
 from .errors import CapError, DomainError, SizeError
 from .exact import exact, floor_log2_fraction, log_fraction, log2_fraction, pow2
+from .record import record
 from .symbolic import as_model
 
 _LN2 = math.log(2.0)
@@ -27,7 +27,7 @@ _LN2 = math.log(2.0)
 # Affine maps z -> a z + b with a > 0
 
 
-@dataclass(frozen=True)
+@record
 class AffineMap:
     a: Fraction
     b: Fraction
@@ -84,7 +84,7 @@ def alpha(g: AffineMap) -> Fraction:
 # Tiles
 
 
-@dataclass(frozen=True)
+@record
 class TileAddress:
     """Tile at band y in [2**row, 2**(row+1)), x in [col*2**row, (col+1)*2**row)."""
 
@@ -128,7 +128,7 @@ def tile_containing_point(x: float, y: float) -> TileAddress:
 # Patches and occurrences
 
 
-@dataclass(frozen=True)
+@record
 class Patch:
     """Triangular patch: an apex tile plus everything below it.
 
@@ -166,7 +166,7 @@ class Patch:
         return (x0, x1, y0, y1)
 
 
-@dataclass(frozen=True)
+@record
 class OccurrenceClass:
     """All placements of a child patch at one depth inside a parent patch.
 
@@ -280,7 +280,7 @@ def suspension_project(g: AffineMap) -> tuple:
 # Agreement metric between two decorated tilings
 
 
-@dataclass(frozen=True)
+@record
 class AnchoredTiling:
     """A decorated tiling: the model's tiling pulled back by an anchor map.
 

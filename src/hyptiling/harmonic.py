@@ -17,15 +17,15 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, QuadratureError
 from .exact import exact, log_fraction, to_float
 from .geometry import AffineMap
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class BoundaryAtoms:
     """A purely atomic boundary measure plus a slope (mass at infinity)."""
 
@@ -209,7 +209,7 @@ def map_rect(g: AffineMap, rect) -> tuple:
     return (g.a * x0 + g.b, g.a * x1 + g.b, g.a * y0, g.a * y1)
 
 
-@dataclass(frozen=True)
+@record
 class TransportCheck:
     lhs: tuple  # exact (linear, ratio) for mass(g . rect)
     rhs: tuple  # exact (linear, ratio) for alpha(g) * mass(rect)

@@ -17,7 +17,6 @@ distances and contraction factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -29,6 +28,7 @@ from .errors import (
     UnsupportedSchemeError,
 )
 from .exact import log_ratio, reduce_dyadic, scalar_to_json, to_float
+from .record import record
 from .symbolic import SubstitutionModel, as_model, block_type_counts, rule_112_122
 
 TRIANGLE = "triangle"
@@ -46,7 +46,7 @@ def _require_scheme(scheme: str):
         )
 
 
-@dataclass(frozen=True)
+@record
 class TransitionMatrix:
     """Entry (i, j) is ints[i][j] / 2**shift: shift 0 for the triangle
     scheme, 2*3**q - 2 for the level-q closed form.  Products multiply the
@@ -172,7 +172,7 @@ def compose_range(model_like, scheme: str, q_from: int, q_to: int,
 # Simplices and the Hilbert metric
 
 
-@dataclass(frozen=True)
+@record
 class SimplexVertices:
     """Images of the level-m unit faces inside the level-n simplex."""
 
@@ -327,7 +327,7 @@ def birkhoff_factor(diameter: float) -> tuple:
 # Contraction certificates
 
 
-@dataclass(frozen=True)
+@record
 class LevelContraction:
     level: int
     diameter: float
@@ -347,7 +347,7 @@ class LevelContraction:
         }
 
 
-@dataclass(frozen=True)
+@record
 class ContractionReport:
     scheme: str
     levels: tuple  # of LevelContraction
@@ -401,7 +401,7 @@ def contraction_certificate(model_like, scheme: str, levels) -> ContractionRepor
 # Ergodic measure count
 
 
-@dataclass(frozen=True)
+@record
 class ErgodicCount:
     count: int
     status: str  # "stabilized" | "inconclusive"
@@ -551,7 +551,7 @@ def hull_contains(outer: SimplexVertices, inner: SimplexVertices) -> bool:
 # Mass conservation and frequencies
 
 
-@dataclass(frozen=True)
+@record
 class MassResiduals:
     level: int
     scheme: str
@@ -593,7 +593,7 @@ def mass_conservation_check(model_like, scheme: str, q: int) -> MassResiduals:
     )
 
 
-@dataclass(frozen=True)
+@record
 class FrequencyResult:
     measure_index: int
     anchor_letter: int

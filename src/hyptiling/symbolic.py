@@ -17,12 +17,12 @@ frequencies) is driven by that interface.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
 
 from .errors import AlignmentError, CapError, DomainError, ModelError, SizeError
+from .record import record
 
 Letter = int  # letters are 1-based: 1..r
 Word = tuple  # tuple of Letter
@@ -52,7 +52,7 @@ def word_from_str(text: str) -> Word:
 # Specs
 
 
-@dataclass(frozen=True)
+@record
 class ToeplitzSpec:
     """Parameters of the Toeplitz family: alphabet size and a step cap.
 
@@ -70,7 +70,7 @@ class ToeplitzSpec:
             raise DomainError(f"max_depth must be >= 1, got {self.max_depth}")
 
 
-@dataclass(frozen=True)
+@record
 class SubstitutionRule:
     """Constant-length substitution over letters 1..r.
 
@@ -430,7 +430,7 @@ def substitution_image(rule: SubstitutionRule, word, n: int,
 # Atlas
 
 
-@dataclass(frozen=True)
+@record
 class AtlasWord:
     """Handle on the level-q atlas word with a given label.
 
@@ -464,7 +464,7 @@ class AtlasWord:
         return _expand(self.model, self.q, (self.letter,), 0, 0, self.length)
 
 
-@dataclass(frozen=True)
+@record
 class AtlasLevel:
     q: int
     length: int
@@ -497,7 +497,7 @@ def atlas_words(model_like, q: int) -> AtlasLevel:
 # Block decomposition and counting
 
 
-@dataclass(frozen=True)
+@record
 class BlockDecomposition:
     q: int
     start: int

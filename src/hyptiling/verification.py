@@ -6,7 +6,6 @@ of them passing is strong evidence the pieces compose correctly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .diffusion import (DiffusionConfig, PathResult, height_law_test, run_paths,
@@ -23,10 +22,11 @@ from .measures import (
     projective_diameter,
     transition_matrix,
 )
+from .record import record
 from .symbolic import SubstitutionModel, ToeplitzModel
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     passed: bool
@@ -159,8 +159,8 @@ def check_height_law(seed: int = 2024) -> CheckResult:
 
 
 #: PathResult fields both modes fill; full mode alone tracks the column.
-_SHARED_FIELDS = tuple(f.name for f in fields(PathResult)
-                       if f.name not in ("mode", "col_final", "x_frac_final"))
+_SHARED_FIELDS = tuple(f for f in PathResult.__match_args__
+                       if f not in ("mode", "col_final", "x_frac_final"))
 
 
 def check_mode_agreement(seed: int = 2024) -> CheckResult:

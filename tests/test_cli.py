@@ -325,6 +325,12 @@ class TestDiffuse:
         assert code == 4
         assert "uncolorable" in err
 
+    def test_zero_horizon_exit(self):
+        code, stdout, err = run(["diffuse", "--model", "substitution",
+                                 "--paths", "31", "--horizon", "0", "--seed", "2"])
+        assert code == 3
+        assert stdout == "" and "no complete path took a step" in err
+
 
 class TestRender:
     def test_basic_window(self, tmp_path):

@@ -3,7 +3,6 @@ height law, occupancy comparisons."""
 
 import math
 import tracemalloc
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -218,8 +217,8 @@ class TestChunkedNoise:
 
 
 #: Every PathResult field both modes fill; full mode alone tracks the column.
-SHARED_FIELDS = tuple(f.name for f in fields(PathResult)
-                      if f.name not in ("mode", "col_final", "x_frac_final"))
+SHARED_FIELDS = tuple(f for f in PathResult.__match_args__
+                      if f not in ("mode", "col_final", "x_frac_final"))
 #: A model that colors every row, and ones whose capped filling truncates.
 MODELS = (SUB, ToeplitzModel.of_rank(2, max_depth=1),
           ToeplitzModel.of_rank(2, max_depth=2),
@@ -451,6 +450,12 @@ class TestGarnettCompare:
         shallow = ToeplitzModel.of_rank(2, max_depth=1)
         cfg = DiffusionConfig(shallow, dt=1e-2, horizon=5.0, paths=5, seed=0)
         with pytest.raises(CapError):
+            garnett_compare(cfg, q=0)
+
+    def test_zero_horizon_is_a_domain_error(self):
+        cfg = DiffusionConfig(SUB, horizon=0.0, paths=31, seed=2)
+        assert all(not r.partial and r.n_steps == 0 for r in run_paths(cfg))
+        with pytest.raises(DomainError, match="no complete path took a step"):
             garnett_compare(cfg, q=0)
 
     def test_precomputed_results_accepted(self):

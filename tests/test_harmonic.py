@@ -1,6 +1,7 @@
 """Boundary measures, harmonic extensions, cylinder masses, transport."""
 
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyptiling
 from hyptiling import (
     AffineMap,
     BoundaryAtoms,
@@ -250,8 +252,10 @@ def test_import_leaves_scipy_unloaded():
 
 def test_import_leaves_heavy_modules_unloaded():
     """numpy, scipy and the XML and URL libraries load only when a call
-    needs them, so commands that never use them start quickly."""
-    heavy = ("numpy", "scipy", "xml.etree", "urllib.request")
+    needs them, and records do not use dataclasses, so commands that never
+    use them start quickly."""
+    heavy = ("numpy", "scipy", "xml.etree", "urllib.request", "dataclasses",
+             "inspect")
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, hyptiling; print([m for m in {heavy!r} if m in sys.modules])"],
@@ -259,6 +263,20 @@ def test_import_leaves_heavy_modules_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_typing_unloaded():
+    """Without site (whose .pth hooks may load typing themselves), importing
+    the CLI does not load typing."""
+    src = os.path.dirname(os.path.dirname(hyptiling.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import hyptiling.cli; "
+         "print('typing' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_checks_leave_scipy_unloaded():
