@@ -26,7 +26,7 @@ from .diffusion import (
     log_height_stats,
     run_paths,
 )
-from .errors import DomainError, TilingError
+from .errors import DomainError, SizeError, TilingError
 from .exact import scalar_to_json
 from .measures import (
     compose_range,
@@ -39,6 +39,7 @@ from .measures import (
 from .record import record
 from .render import render_svg
 from .symbolic import (
+    DEFAULT_MATERIALIZE_LIMIT,
     SubstitutionModel,
     ToeplitzModel,
     atlas_words,
@@ -155,12 +156,15 @@ def _cmd_gen(ns) -> int:
 @_sub("atlas", _model_opts() + [
     Opt("--level", type=int, required=True, help="hierarchy level"),
     Opt("--letter", type=int, help="restrict to one word"),
-    Opt("--max-letters", type=int, default=10**6,
-        help="materialization cap"),
+    Opt("--max-letters", type=int, default=DEFAULT_MATERIALIZE_LIMIT,
+        help="materialization cap; can only lower the default 10^6"),
     _OUT,
 ], "materialize the words of one hierarchy level")
 def _cmd_atlas(ns) -> int:
     model = _build_model(ns)
+    if ns.max_letters > DEFAULT_MATERIALIZE_LIMIT:
+        raise SizeError(f"--max-letters {ns.max_letters} is over the cap "
+                        f"{DEFAULT_MATERIALIZE_LIMIT}")
     level = atlas_words(model, ns.level)
     if ns.letter is not None:
         letters = (ns.letter,)

@@ -17,8 +17,8 @@ frequencies) is driven by that interface.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
-from contextlib import suppress
 from itertools import chain
 
 from .errors import AlignmentError, CapError, DomainError, ModelError, SizeError
@@ -358,10 +358,10 @@ def window(model_like, start: int, stop: int) -> Word:
     if stop - start > DEFAULT_MATERIALIZE_LIMIT:
         raise SizeError(f"window of {stop - start} letters is over the cap "
                         f"{DEFAULT_MATERIALIZE_LIMIT}")
-    letters = block_labels(model, 0, start, stop)
-    if None in letters:
-        model.letter(start + letters.index(None))  # raises the cap error
-    return letters
+    letters, undetermined = _labels(model, 0, start, stop)
+    if undetermined >= 0:
+        model.letter(start + undetermined)  # raises the cap error
+    return tuple(letters)
 
 
 def block_labels(model, q: int, start: int, stop: int) -> Word:
@@ -370,16 +370,22 @@ def block_labels(model, q: int, start: int, stop: int) -> Word:
 
     Reads the labels of the aligned level-Q blocks covering the range, for
     the smallest level Q >= q whose blocks are at least as long as the range
-    (or the deepest level a capped model has), and expands them level by
-    level down to q.
+    (or the deepest level a capped model has), and expands them to level q
+    as joined bytes (see `_expand`), converted to a tuple once.
     """
-    unit = model.level_length(q)
-    top = q
-    with suppress(CapError):  # level_length raises past a model's max_depth
-        while model.level_length(top) < (stop - start) * unit:
-            model.level_length(top + 1)
+    labels, undetermined = _labels(model, q, start, stop)
+    return tuple(labels) if undetermined < 0 else tuple([a or None for a in labels])
+
+
+def _labels(model, q: int, start: int, stop: int):
+    """The labels of `block_labels` as `_expand` returns them."""
+    unit, top, span = model.level_length(q), q, 1
+    try:
+        while span < stop - start:
+            span = model.level_length(top + 1) // unit
             top += 1
-    span = model.level_length(top) // unit
+    except CapError:  # level_length raises past a model's max_depth
+        pass
     labels = []
     for k in range(start // span, -(-stop // span)):
         try:
@@ -390,19 +396,50 @@ def block_labels(model, q: int, start: int, stop: int) -> Word:
 
 
 def _expand(model, q: int, labels, first: int, start: int, stop: int,
-            bottom: int = 0) -> Word:
+            bottom: int = 0):
     """Level-`bottom` labels at block positions start..stop-1 of the
     concatenated level-q words `labels`, the first of which begins at block
-    position `first` (positions count level-`bottom` blocks)."""
-    unit = model.level_length(bottom)
-    for level in range(q, bottom, -1):
-        table = {label: model.children(level, label) for label in set(labels)}
-        sub = model.level_length(level - 1) // unit
-        lo = (start - first) // sub
-        hi = -(-(stop - first) // sub)
+    position `first` (positions count level-`bottom` blocks), as items:
+    bytes for r < 256, else 4-byte unsigned ints (8-byte for r >= 2**32) in
+    a memoryview, 0 for None.  Also returns the index of the first 0, or -1.
+
+    The labels are walked down from q to m, the highest level whose words,
+    one per label (and None if it occurs), fit in the range together.  The
+    level-m words of the labels met are built bottom-up as `bytes` joins.
+    """
+    unit, r, none = model.level_length(bottom), model.r, None in labels
+    m, span = q, model.level_length(q) // unit
+    while m > bottom and (r + none) * span > max(stop - start, 1):
+        table = {label: model.children(m, label) for label in set(labels)}
+        m, span = m - 1, model.level_length(m - 1) // unit
+        lo = (start - first) // span
+        hi = -(-(stop - first) // span)
         labels = tuple(chain.from_iterable(map(table.__getitem__, labels)))[lo:hi]
-        first += lo * sub
-    return tuple(labels)[start - first:stop - first]
+        first += lo * span
+    tables = []  # children of the labels met, levels m down to bottom + 1
+    for level in range(m, bottom, -1):
+        met = set(chain.from_iterable(tables[-1].values())) if tables else set(labels)
+        tables.append({label: model.children(level, label) for label in met})
+    size, words = (1 if r < 2**8 else 4 if r < 2**32 else 8), None
+    for table in reversed(tables):
+        words = {label: _join(words, children, size)
+                 for label, children in table.items()}
+    items = _join(words, labels, size)[(start - first) * size:(stop - first) * size]
+    zero = items.find(bytes(size)) if none else -1
+    while zero % size and zero >= 0:  # a match across two items
+        zero = items.find(bytes(size), zero + 1)
+    if size > 1:
+        items = memoryview(items).cast("I" if size == 4 else "Q")
+    return items, zero // size
+
+
+def _join(words, labels, size: int) -> bytes:
+    """The words of `labels` joined; with no words, the labels as items."""
+    if words is None:
+        if size == 1 and None not in labels:
+            return bytes(labels)
+        words = {a: (a or 0).to_bytes(size, sys.byteorder) for a in set(labels)}
+    return b"".join(map(words.__getitem__, labels))
 
 
 def substitution_image(rule: SubstitutionRule, word, n: int,
@@ -461,7 +498,7 @@ class AtlasWord:
                 f"level-{self.q} word has {self.length} letters, "
                 f"over the cap {max_letters}"
             )
-        return _expand(self.model, self.q, (self.letter,), 0, 0, self.length)
+        return tuple(_expand(self.model, self.q, (self.letter,), 0, 0, self.length)[0])
 
 
 @record

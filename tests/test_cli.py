@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,46 @@ class TestAtlas:
              "--max-letters", "1000"]
         )
         assert code == 5
+
+    def test_max_letters_cannot_raise_the_cap(self):
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                ["atlas", "--model", "substitution", "--level", "30",
+                 "--max-letters", str(10**15)]
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 5
+        assert out == "" and "cap" in err
+        assert peak < 10**5
+
+    def test_max_letters_at_the_cap(self):
+        code, payload = run_json(
+            ["atlas", "--model", "substitution", "--level", "1",
+             "--max-letters", "1000000"]
+        )
+        assert code == 0
+        assert payload["words"] == {"1": "112", "2": "122"}
+
+
+class TestFrozenOutput:
+    """Stdout of large `atlas` and `gen` runs, byte for byte: SHA-256
+    digests recorded from the per-level tuple expansion."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["atlas", "--model", "substitution", "--level", "12"],
+         "cded58a05c85d5c2c6c7f6ab2b23376640c3c46989e24f4f2f93aca8bd5c3619"),
+        (["atlas", "--model", "toeplitz", "--r", "3", "--level", "4"],
+         "15ebc761618a9df865c60fe8fc81cfea933f119b4f9e51e1c4e279e62029c21c"),
+        (["gen", "--model", "substitution", "--from", "-50000", "--to", "50000"],
+         "7fbf878e4eb34fdb07f00b91881e01cfed732ef16449bc6953a1a00f8d94caec"),
+    ])
+    def test_stdout_digest(self, argv, digest):
+        code, out, _ = run(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestMatrices:

@@ -2,6 +2,7 @@
 oracle, and the counting identities."""
 
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -276,6 +277,79 @@ class TestBlockLabels:
         model = ToeplitzModel.of_rank(2, max_depth=1)
         assert block_labels(model, 0, -3, 3) == (1, None, 1, 1, None, 1)
         assert block_labels(model, 1, 0, 3) == (None, None, None)
+
+
+# Models for the route comparison: r = 300 stores letters as 4-byte items,
+# and capped Toeplitz models have blocks labelled None.
+ROUTE_MODELS = st.one_of(
+    st.sampled_from([SubstitutionModel.standard(), SubstitutionModel(RULE_3)]
+                    + [ToeplitzModel.of_rank(r) for r in (1, 2, 3, 8, 300)]),
+    st.builds(ToeplitzModel.of_rank, st.sampled_from([2, 3, 8, 300]),
+              st.integers(1, 3)),
+)
+
+
+def _label_or_none(model, q, k):
+    try:
+        return model.block_letter(q, k)
+    except CapError:
+        return None
+
+
+class TestExpansionRoutes:
+    """block_labels, window and AtlasWord.word, which share one level-word
+    expansion, against per-position queries."""
+
+    @given(model=ROUTE_MODELS, q=st.integers(0, 2), data=st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_ranges_match_per_position(self, model, q, data):
+        try:
+            unit = model.level_length(q)
+            span = model.level_length(q + data.draw(st.integers(0, 3))) // unit
+        except CapError:
+            assume(False)
+        edge = data.draw(st.integers(-4, 4)) * span
+        # r = 300 builds level words (not only single letters) from 903 on
+        length = data.draw(st.sampled_from([0, 1, 2, span, 3 * span])
+                           | st.integers(0, 400) | st.integers(900, 3000))
+        start = data.draw(st.sampled_from([
+            edge, edge - length, -(length // 2) - 1, edge + 1,
+        ]) | st.integers(-10**6, 10**6))
+        stop = start + length
+        expected = tuple(_label_or_none(model, q, k) for k in range(start, stop))
+        assert block_labels(model, q, start, stop) == expected
+        if q == 0:
+            if None in expected:
+                with pytest.raises(CapError) as exc:
+                    window(model, start, stop)
+                with pytest.raises(CapError, match=re.escape(str(exc.value))):
+                    model.letter(start + expected.index(None))
+            else:
+                assert window(model, start, stop) == expected
+
+    @given(model=ROUTE_MODELS, q=st.integers(0, 5), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_atlas_word_matches_letter_at(self, model, q, data):
+        try:
+            length = model.level_length(q)
+        except CapError:
+            assume(False)
+        assume(length <= 3000)
+        letter = data.draw(st.sampled_from([1, model.r]) | st.integers(1, model.r))
+        handle = atlas_words(model, q).handles[letter - 1]
+        assert handle.word() == tuple(handle.letter_at(k) for k in range(length))
+
+    def test_window_peak_allocation_is_near_the_result(self):
+        model = SubstitutionModel.standard()
+        window(model, 0, 10)
+        tracemalloc.start()
+        try:
+            letters = window(model, -400_000, 600_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(letters) == 10**6
+        assert peak <= 1.5 * sys.getsizeof(letters)
 
 
 class TestAtlas:
