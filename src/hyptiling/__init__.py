@@ -15,18 +15,16 @@ from .geometry import (
     tile_containing_point,
 )
 from .harmonic import (
-    BoundaryAtoms, TransportCheck, boundary_recover, cylinder_mass,
-    cylinder_mass_exact, herglotz_evaluate, herglotz_evaluator, map_rect,
-    transport_scaling_check,
+    BoundaryAtoms, TransportCheck, boundary_recover, cylinder_mass_exact,
+    herglotz_evaluate, herglotz_evaluator, map_rect, transport_scaling_check,
 )
 from .measures import (
     PAPER, TRIANGLE, ContractionReport, ErgodicCount, FrequencyResult,
     LevelContraction, MassResiduals, SimplexVertices, TransitionMatrix,
     birkhoff_factor, compose_range, contraction_certificate,
-    ergodic_measure_count, hilbert_distance, hilbert_distance_segment,
-    hull_contains, hull_membership, mass_conservation_check,
-    measure_frequencies, nested_simplex, projective_diameter,
-    projective_distance, transition_matrix,
+    ergodic_measure_count, hull_contains, hull_membership,
+    mass_conservation_check, measure_frequencies, nested_simplex,
+    projective_diameter, projective_distance, transition_matrix,
 )
 from .diffusion import (
     DiffusionConfig, LeafState, PathResult, default_start,
@@ -36,8 +34,8 @@ from .diffusion import (
 from .render import render_svg
 from .symbolic import (
     AtlasWord, SubstitutionModel, SubstitutionRule, ToeplitzModel,
-    ToeplitzSpec, atlas_words, block_decompose, block_type_counts,
-    rule_112_122, substitution_image, window, word_from_str, word_to_str,
+    ToeplitzSpec, atlas_words, block_type_counts, rule_112_122, window,
+    word_to_str,
 )
 from .verification import run_all as run_verification
 
@@ -51,21 +49,19 @@ __all__ = [
     "agreement_radius", "alpha", "doubling_map", "hull_distance",
     "identity_map", "occurrence_classes", "patch_partition_check", "shift_map",
     "suspension_project", "tile_containing_point",
-    "BoundaryAtoms", "TransportCheck", "boundary_recover", "cylinder_mass",
+    "BoundaryAtoms", "TransportCheck", "boundary_recover",
     "cylinder_mass_exact", "herglotz_evaluate", "herglotz_evaluator",
     "map_rect", "transport_scaling_check", "PAPER", "TRIANGLE",
     "ContractionReport", "ErgodicCount", "FrequencyResult", "LevelContraction",
     "MassResiduals", "SimplexVertices", "TransitionMatrix", "birkhoff_factor",
     "compose_range", "contraction_certificate", "ergodic_measure_count",
-    "hilbert_distance", "hilbert_distance_segment", "hull_contains",
-    "hull_membership", "mass_conservation_check", "measure_frequencies",
-    "nested_simplex", "projective_diameter",
+    "hull_contains", "hull_membership", "mass_conservation_check",
+    "measure_frequencies", "nested_simplex", "projective_diameter",
     "projective_distance", "transition_matrix", "DiffusionConfig", "LeafState",
     "PathResult", "default_start", "expected_block_fractions",
     "garnett_compare", "height_law_test", "log_height_samples",
     "log_height_stats", "run_paths", "simulate_path", "render_svg",
     "AtlasWord", "SubstitutionModel", "SubstitutionRule", "ToeplitzModel",
-    "ToeplitzSpec", "atlas_words", "block_decompose",
-    "block_type_counts", "rule_112_122", "substitution_image",
-    "window", "word_from_str", "word_to_str", "run_verification",
+    "ToeplitzSpec", "atlas_words", "block_type_counts", "rule_112_122",
+    "window", "word_to_str", "run_verification",
 ]

@@ -27,7 +27,7 @@ from .diffusion import (
     run_paths,
 )
 from .errors import DomainError, SizeError, TilingError
-from .exact import scalar_to_json
+from .exact import decimal_string, scalar_to_json
 from .measures import (
     compose_range,
     contraction_certificate,
@@ -121,12 +121,7 @@ def _model_echo(model) -> dict:
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(json.dumps(payload, indent=2) + "\n", out_path)
 
 
 def _write_text(text, out_path):
@@ -277,9 +272,8 @@ def _cmd_frequencies(ns) -> int:
     if ns.format == "csv":
         lines = ["letter,numerator,denominator,value"]
         for i, frac in enumerate(result.frequencies, start=1):
-            lines.append(
-                f"{i},{frac.numerator},{frac.denominator},{float(frac)!r}"
-            )
+            lines.append(f"{i},{decimal_string(frac.numerator)},"
+                         f"{decimal_string(frac.denominator)},{float(frac)!r}")
         _write_text("\n".join(lines) + "\n", ns.out)
     else:
         payload = {"model": _model_echo(model)}

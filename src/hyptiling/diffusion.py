@@ -61,6 +61,9 @@ class DiffusionConfig:
             raise DomainError(f"need at least one path, got {self.paths}")
         if self.trace_stride < 0:
             raise DomainError("trace stride must be nonnegative")
+        if self.horizon / self.dt == math.inf:
+            raise SizeError(f"horizon {self.horizon} over step {self.dt} "
+                            "overflows the step count")
         if self.n_steps > MAX_STEPS:
             raise SizeError(
                 f"{self.n_steps} steps exceeds the {MAX_STEPS} step cap"

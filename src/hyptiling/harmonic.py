@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError, QuadratureError
-from .exact import exact, log_fraction, to_float
+from .exact import exact
 from .geometry import AffineMap
 from .record import record
 
@@ -197,12 +197,6 @@ def cylinder_mass_exact(coefficient, rect) -> tuple:
     return (coeff * (x1 - x0), y1 / y0)
 
 
-def cylinder_mass(coefficient, rect) -> float:
-    """Float value of the same mass."""
-    linear, ratio = cylinder_mass_exact(coefficient, rect)
-    return to_float(linear) * log_fraction(ratio)
-
-
 def map_rect(g: AffineMap, rect) -> tuple:
     """Forward image of an axis-aligned box; affine maps preserve the class."""
     x0, x1, y0, y1 = _rect_exact(rect)
@@ -215,16 +209,6 @@ class TransportCheck:
     rhs: tuple  # exact (linear, ratio) for alpha(g) * mass(rect)
     alpha: Fraction
     equal: bool
-
-    def to_json(self) -> dict:
-        from .exact import scalar_to_json
-
-        return {
-            "lhs": [scalar_to_json(self.lhs[0]), scalar_to_json(self.lhs[1])],
-            "rhs": [scalar_to_json(self.rhs[0]), scalar_to_json(self.rhs[1])],
-            "alpha": scalar_to_json(self.alpha),
-            "equal": self.equal,
-        }
 
 
 def transport_scaling_check(coefficient, rect, g: AffineMap) -> TransportCheck:

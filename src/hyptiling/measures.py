@@ -27,7 +27,7 @@ from .errors import (
     InconclusiveError,
     UnsupportedSchemeError,
 )
-from .exact import log_ratio, reduce_dyadic, scalar_to_json, to_float
+from .exact import decimal_string, log_ratio, reduce_dyadic, scalar_to_json, to_float
 from .record import record
 from .symbolic import SubstitutionModel, as_model, block_type_counts, rule_112_122
 
@@ -203,34 +203,8 @@ def nested_simplex(model_like, scheme: str, n: int, m: int,
     )
 
 
-def _validate_simplex_point(x) -> tuple:
-    vec = tuple(Fraction(v) if isinstance(v, (int, Fraction)) else v for v in x)
-    total = 0.0
-    for v in vec:
-        fv = float(v)
-        if fv < 0:
-            raise DomainError("simplex points need nonnegative coordinates")
-        total += fv
-    if abs(total - 1.0) > 1e-9:
-        raise DomainError(f"coordinates sum to {total}, not 1")
-    return vec
-
-
-def hilbert_distance(x, y) -> float:
-    """Hilbert projective distance between two simplex points.
-
-    max over coordinate pairs of ln((x_i/y_i) * (y_j/x_j)); infinite when the
-    supports differ, zero on the shared support extremes.
-    """
-    vx = _validate_simplex_point(x)
-    vy = _validate_simplex_point(y)
-    if len(vx) != len(vy):
-        raise DomainError("dimension mismatch")
-    return projective_distance(vx, vy)
-
-
 def projective_distance(vx, vy) -> float:
-    """Hilbert distance on rays of the positive cone (no simplex validation).
+    """Hilbert distance on rays of the positive cone.
 
     The extreme ratios x_i / y_i are picked by exact cross multiplication,
     so exact input is rounded once.  The distance ignores scaling, so
@@ -255,41 +229,6 @@ def projective_distance(vx, vy) -> float:
         return math.log(hi[0] / hi[1]) - math.log(lo[0] / lo[1])
     return log_ratio(num.numerator * den.denominator,
                      num.denominator * den.numerator)
-
-
-def hilbert_distance_segment(x, y) -> float:
-    """Cross-ratio form of the same distance, as an independent route.
-
-    Extends the chord through x, y to the simplex boundary and returns
-    |ln((m+l)(m+r)/(l r))| with m the chord length and l, r the two boundary
-    gaps.  Coincident points give 0; a boundary endpoint gives inf.
-    """
-    vx = [Fraction(v) for v in _validate_simplex_point(x)]
-    vy = [Fraction(v) for v in _validate_simplex_point(y)]
-    if vx == vy:
-        return 0.0
-    # Walk from y in direction (x - y): coordinates hit zero at parameters
-    # t_plus >= 1 (beyond x) and t_minus <= 0 (behind y).
-    t_plus, t_minus = None, None
-    for a, b in zip(vx, vy):
-        d = a - b
-        if d == 0:
-            continue
-        t_zero = -b / d
-        if d < 0:
-            t_plus = t_zero if t_plus is None else min(t_plus, t_zero)
-        else:
-            t_minus = t_zero if t_minus is None else max(t_minus, t_zero)
-    if t_plus is None or t_minus is None:
-        raise DomainError("points do not span a chord inside the simplex")
-    chord = math.sqrt(sum(float(a - b) ** 2 for a, b in zip(vx, vy)))
-    l_gap = float(-t_minus) * chord
-    r_gap = float(t_plus - 1) * chord
-    if l_gap == 0.0 or r_gap == 0.0:
-        return math.inf
-    return abs(
-        math.log((chord + l_gap) * (chord + r_gap) / (l_gap * r_gap))
-    )
 
 
 def projective_diameter(matrix: TransitionMatrix) -> float:
@@ -566,7 +505,7 @@ class MassResiduals:
         return {
             "level": self.level,
             "scheme": self.scheme,
-            "weights": [str(w) for w in self.weights],
+            "weights": [decimal_string(w) for w in self.weights],
             "residuals": [scalar_to_json(x) for x in self.residuals],
             "conserved": self.conserved,
         }

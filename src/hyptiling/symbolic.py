@@ -17,11 +17,12 @@ frequencies) is driven by that interface.
 
 from __future__ import annotations
 
+import math
 import sys
 from collections.abc import Iterable
 from itertools import chain
 
-from .errors import AlignmentError, CapError, DomainError, ModelError, SizeError
+from .errors import CapError, DomainError, ModelError, SizeError
 from .record import record
 
 Letter = int  # letters are 1-based: 1..r
@@ -41,11 +42,13 @@ def word_to_str(word: Iterable[int], r: int) -> str:
     return ",".join(str(a) for a in word)
 
 
-def word_from_str(text: str) -> Word:
-    text = text.strip()
-    if "," in text:
-        return tuple(int(part) for part in text.split(","))
-    return tuple(int(ch) for ch in text)
+def _size_text(n: int) -> str:
+    """A size for an error message: its digits up to 18 of them, else the
+    power of ten it reaches, so that the message stays one short line."""
+    if n < 10**18:
+        return str(n)
+    k = int(math.log10(n))
+    return f"at least 10^{k - (10**k > n)}"
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +359,8 @@ def window(model_like, start: int, stop: int) -> Word:
     if stop < start:
         raise DomainError(f"empty-or-reversed window [{start}, {stop})")
     if stop - start > DEFAULT_MATERIALIZE_LIMIT:
-        raise SizeError(f"window of {stop - start} letters is over the cap "
-                        f"{DEFAULT_MATERIALIZE_LIMIT}")
+        raise SizeError(f"window of {_size_text(stop - start)} letters is over "
+                        f"the cap {DEFAULT_MATERIALIZE_LIMIT}")
     letters, undetermined = _labels(model, 0, start, stop)
     if undetermined >= 0:
         model.letter(start + undetermined)  # raises the cap error
@@ -442,27 +445,6 @@ def _join(words, labels, size: int) -> bytes:
     return b"".join(map(words.__getitem__, labels))
 
 
-def substitution_image(rule: SubstitutionRule, word, n: int,
-                       max_letters: int = DEFAULT_MATERIALIZE_LIMIT) -> Word:
-    """n-fold image of a word under the rule; n = 0 returns the word."""
-    if n < 0:
-        raise DomainError(f"iteration count must be >= 0, got {n}")
-    current = tuple(word)
-    for a in current:
-        rule.image(a)  # validates letters
-    predicted = len(current) * rule.length**n
-    if predicted > max_letters:
-        raise SizeError(
-            f"image would have {predicted} letters, over the cap {max_letters}"
-        )
-    for _ in range(n):
-        grown = []
-        for a in current:
-            grown.extend(rule.image(a))
-        current = tuple(grown)
-    return current
-
-
 # ---------------------------------------------------------------------------
 # Atlas
 
@@ -495,7 +477,7 @@ class AtlasWord:
         """Materialize the full word; refuses above max_letters."""
         if self.length > max_letters:
             raise SizeError(
-                f"level-{self.q} word has {self.length} letters, "
+                f"level-{self.q} word has {_size_text(self.length)} letters, "
                 f"over the cap {max_letters}"
             )
         return tuple(_expand(self.model, self.q, (self.letter,), 0, 0, self.length)[0])
@@ -505,64 +487,29 @@ class AtlasWord:
 class AtlasLevel:
     q: int
     length: int
-    handles: tuple
+    model: object
 
     @property
     def r(self) -> int:
-        return len(self.handles)
+        return self.model.r
 
     def word(self, letter: Letter, max_letters: int = DEFAULT_MATERIALIZE_LIMIT) -> Word:
         if not (1 <= letter <= self.r):
             raise DomainError(f"letter {letter} outside 1..{self.r}")
-        return self.handles[letter - 1].word(max_letters)
+        handle = AtlasWord(model=self.model, q=self.q, letter=letter, length=self.length)
+        return handle.word(max_letters)
 
 
 def atlas_words(model_like, q: int) -> AtlasLevel:
-    """The level-q atlas: one word handle per letter of the alphabet."""
+    """The level-q atlas; each `word` call builds the one handle it reads."""
     model = as_model(model_like)
     if q < 0:
         raise DomainError(f"level must be >= 0, got {q}")
-    length = model.level_length(q)
-    handles = tuple(
-        AtlasWord(model=model, q=q, letter=i, length=length)
-        for i in range(1, model.r + 1)
-    )
-    return AtlasLevel(q=q, length=length, handles=handles)
+    return AtlasLevel(q=q, length=model.level_length(q), model=model)
 
 
 # ---------------------------------------------------------------------------
-# Block decomposition and counting
-
-
-@record
-class BlockDecomposition:
-    q: int
-    start: int
-    stop: int
-    blocks: tuple  # ((offset, letter), ...) with offsets relative to start
-
-
-def block_decompose(model_like, bounds, q: int) -> BlockDecomposition:
-    """Decompose an aligned window into level-q atlas words.
-
-    Both window edges must be multiples of the level-q length; the
-    concatenation of the returned atlas words reproduces the window exactly.
-    """
-    model = as_model(model_like)
-    start, stop = bounds
-    length = model.level_length(q)
-    if start % length or stop % length:
-        raise AlignmentError(
-            f"window [{start}, {stop}) is not aligned to the level-{q} "
-            f"grid of length {length}"
-        )
-    if stop < start:
-        raise DomainError(f"reversed window [{start}, {stop})")
-    blocks = tuple(
-        ((k - start // length) * length, model.block_letter(q, k))
-        for k in range(start // length, stop // length)
-    )
-    return BlockDecomposition(q=q, start=start, stop=stop, blocks=blocks)
+# Block counting
 
 
 def block_type_counts(model_like, base: int, q: int, letter: Letter) -> tuple:

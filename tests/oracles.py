@@ -1,0 +1,105 @@
+"""Reference routines the tests compare the library against.
+
+Each one takes a different route from the library code it checks: the
+Hilbert distance through a chord's cross-ratio, level words by iterating a
+substitution letter by letter, aligned windows block by block through
+`block_letter`, and word strings parsed back to letters.
+"""
+
+import math
+from fractions import Fraction
+from typing import NamedTuple
+
+from hyptiling import AlignmentError, DomainError, SizeError
+
+
+def hilbert_distance_segment(x, y) -> float:
+    """Hilbert distance between two simplex points in cross-ratio form.
+
+    Extends the chord through x, y to the simplex boundary and returns
+    |ln((m+l)(m+r)/(l r))| with m the chord length and l, r the two boundary
+    gaps.  Coincident points give 0; a boundary endpoint gives inf.
+    """
+    vx = [Fraction(v) for v in x]
+    vy = [Fraction(v) for v in y]
+    if vx == vy:
+        return 0.0
+    # Walk from y in direction (x - y): coordinates hit zero at parameters
+    # t_plus >= 1 (beyond x) and t_minus <= 0 (behind y).
+    t_plus, t_minus = None, None
+    for a, b in zip(vx, vy):
+        d = a - b
+        if d == 0:
+            continue
+        t_zero = -b / d
+        if d < 0:
+            t_plus = t_zero if t_plus is None else min(t_plus, t_zero)
+        else:
+            t_minus = t_zero if t_minus is None else max(t_minus, t_zero)
+    if t_plus is None or t_minus is None:
+        raise DomainError("points do not span a chord inside the simplex")
+    chord = math.sqrt(sum(float(a - b) ** 2 for a, b in zip(vx, vy)))
+    l_gap = float(-t_minus) * chord
+    r_gap = float(t_plus - 1) * chord
+    if l_gap == 0.0 or r_gap == 0.0:
+        return math.inf
+    return abs(
+        math.log((chord + l_gap) * (chord + r_gap) / (l_gap * r_gap))
+    )
+
+
+def substitution_image(rule, word, n: int, max_letters: int = 10**6) -> tuple:
+    """n-fold image of a word under the rule; n = 0 returns the word."""
+    if n < 0:
+        raise DomainError(f"iteration count must be >= 0, got {n}")
+    current = tuple(word)
+    for a in current:
+        rule.image(a)  # validates letters
+    predicted = len(current) * rule.length**n
+    if predicted > max_letters:
+        raise SizeError(
+            f"image would have {predicted} letters, over the cap {max_letters}"
+        )
+    for _ in range(n):
+        grown = []
+        for a in current:
+            grown.extend(rule.image(a))
+        current = tuple(grown)
+    return current
+
+
+class BlockDecomposition(NamedTuple):
+    q: int
+    start: int
+    stop: int
+    blocks: tuple  # ((offset, letter), ...) with offsets relative to start
+
+
+def block_decompose(model, bounds, q: int) -> BlockDecomposition:
+    """Decompose an aligned window into level-q atlas words.
+
+    Both window edges must be multiples of the level-q length; the
+    concatenation of the returned atlas words reproduces the window exactly.
+    """
+    start, stop = bounds
+    length = model.level_length(q)
+    if start % length or stop % length:
+        raise AlignmentError(
+            f"window [{start}, {stop}) is not aligned to the level-{q} "
+            f"grid of length {length}"
+        )
+    if stop < start:
+        raise DomainError(f"reversed window [{start}, {stop})")
+    blocks = tuple(
+        ((k - start // length) * length, model.block_letter(q, k))
+        for k in range(start // length, stop // length)
+    )
+    return BlockDecomposition(q=q, start=start, stop=stop, blocks=blocks)
+
+
+def word_from_str(text: str) -> tuple:
+    """Letters of a `word_to_str` string: digits, or comma-separated."""
+    text = text.strip()
+    if "," in text:
+        return tuple(int(part) for part in text.split(","))
+    return tuple(int(ch) for ch in text)

@@ -35,6 +35,25 @@ def num(entry):
     return (int(entry["num"]), int(entry["den"]))
 
 
+def big_int(text):
+    """int() of a decimal string longer than Python's default digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def assert_short_error(out, err):
+    """Nothing on stdout and one short line on stderr."""
+    assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 200 and "cap" in err
+
+
+NINES = "9" * 4300  # the longest int Python's default digit limit parses
+
+
 class TestGen:
     def test_toeplitz_window(self):
         code, payload = run_json(
@@ -78,6 +97,12 @@ class TestGen:
         )
         assert code == 5
         assert out == "" and "cap" in err
+
+    def test_window_cap_past_the_digit_limit(self):
+        code, out, err = run(["gen", "--model", "substitution",
+                              "--from", "-" + NINES, "--to", NINES])
+        assert code == 5
+        assert_short_error(out, err)
 
 
 class TestAtlas:
@@ -125,6 +150,25 @@ class TestAtlas:
         )
         assert code == 0
         assert payload["words"] == {"1": "112", "2": "122"}
+
+    def test_materialization_cap_past_the_digit_limit(self):
+        code, out, err = run(["atlas", "--model", "substitution",
+                              "--level", "10000", "--letter", "1"])
+        assert code == 5
+        assert_short_error(out, err)
+
+    def test_one_letter_memory_does_not_grow_with_r(self):
+        argv = ["atlas", "--model", "toeplitz", "--r", "100000", "--level", "1",
+                "--letter", "1"]
+        tracemalloc.start()
+        try:
+            code, out, _ = run(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out)["words"] == {"1": "1,1,1"}
+        assert peak < 10**6
 
 
 class TestFrozenOutput:
@@ -200,6 +244,15 @@ class TestMatrices:
         assert digest.hexdigest() == (
             "34e0919a20255e97595b8c0b835d707abd3e3b731324390feeaa18f938d7218d"
         )
+
+    def test_level_past_the_digit_limit(self):
+        code, payload = run_json(
+            ["matrices", "--model", "substitution", "--level", "10000"]
+        )
+        assert code == 0
+        residuals = payload["schemes"]["triangle"]["mass_residuals"]
+        assert [big_int(w) for w in residuals["weights"]] == [3**10000] * 2
+        assert [num(x) for x in residuals["residuals"]] == [(0, 1)] * 2
 
     def test_level_and_range_conflict(self):
         code, _, err = run(
@@ -291,6 +344,19 @@ class TestFrequencies:
         assert lines[1].startswith("1,5,9,")
         assert lines[2].startswith("2,4,9,")
 
+    def test_csv_past_the_digit_limit(self):
+        code, out, _ = run(
+            ["frequencies", "--model", "substitution", "--level", "10000",
+             "--format", "csv"]
+        )
+        assert code == 0
+        three = 3**10000
+        want = (Fraction((three + 1) // 2, three), Fraction((three - 1) // 2, three))
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["1", "2"]
+        assert [Fraction(big_int(row[1]), big_int(row[2])) for row in rows] == list(want)
+        assert [float(row[3]) for row in rows] == [float(f) for f in want]
+
     def test_level_deeper_than_the_recursion_limit(self):
         code, payload = run_json(
             ["frequencies", "--model", "substitution", "--level", "1500"]
@@ -365,6 +431,16 @@ class TestDiffuse:
         )
         assert code == 4
         assert "uncolorable" in err
+
+    def test_overflowing_step_count_exits_before_any_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("hyptiling.diffusion.simulate_path",
+                            lambda *args: calls.append(args))
+        code, stdout, err = run(["diffuse", "--model", "substitution",
+                                 "--horizon", "1e300", "--dt", "1e-300"])
+        assert code == 5
+        assert stdout == "" and "overflows the step count" in err
+        assert calls == []
 
     def test_zero_horizon_exit(self):
         code, stdout, err = run(["diffuse", "--model", "substitution",

@@ -58,6 +58,8 @@ class TestConfig:
             DiffusionConfig(SUB, paths=0)
         with pytest.raises(SizeError):
             DiffusionConfig(SUB, dt=1e-9, horizon=1000.0)
+        with pytest.raises(SizeError, match="overflows the step count"):
+            DiffusionConfig(SUB, dt=1e-300, horizon=1e300)  # inf steps
 
     def test_trace_cap(self):
         # CLI defaults: 50 paths of 2 * 10^6 steps, every step traced

@@ -23,13 +23,10 @@ from hyptiling import (
     UnsupportedSchemeError,
     atlas_words,
     birkhoff_factor,
-    block_decompose,
     compose_range,
     contraction_certificate,
     ergodic_measure_count,
     expected_block_fractions,
-    hilbert_distance,
-    hilbert_distance_segment,
     hull_contains,
     hull_membership,
     mass_conservation_check,
@@ -39,6 +36,7 @@ from hyptiling import (
     projective_distance,
     transition_matrix,
 )
+from oracles import hilbert_distance_segment
 
 SUB = SubstitutionModel.standard()
 T2 = ToeplitzModel.of_rank(2)
@@ -204,51 +202,56 @@ class TestNestedSimplices:
             nested_simplex(SUB, TRIANGLE, 3, 2)
 
 
+def ray(point, k):
+    """An integer vector on the ray of a simplex point, scaled by k: the
+    unnormalized form in which matrix columns reach `projective_distance`."""
+    total = math.lcm(*(v.denominator for v in point))
+    return tuple(k * int(v * total) for v in point)
+
+
 class TestHilbertMetric:
     def test_frozen_example(self):
-        d = hilbert_distance((Fraction(1, 4), Fraction(3, 4)),
-                             (Fraction(1, 2), Fraction(1, 2)))
+        d = projective_distance((Fraction(1, 4), Fraction(3, 4)),
+                                (Fraction(1, 2), Fraction(1, 2)))
         assert d == pytest.approx(math.log(3), rel=1e-15)
 
     def test_coincident_points(self):
         p = (Fraction(2, 5), Fraction(3, 5))
-        assert hilbert_distance(p, p) == 0.0
+        assert projective_distance(p, p) == 0.0
         assert hilbert_distance_segment(p, p) == 0.0
 
     def test_boundary_is_infinitely_far(self):
-        assert hilbert_distance((0, 1), (Fraction(1, 2), Fraction(1, 2))) == math.inf
+        assert projective_distance(
+            (0, 1), (Fraction(1, 2), Fraction(1, 2))) == math.inf
         assert hilbert_distance_segment(
             (0, 1), (Fraction(1, 2), Fraction(1, 2))
         ) == math.inf
 
-    def test_off_simplex_points_rejected(self):
-        with pytest.raises(DomainError):
-            hilbert_distance((Fraction(1, 2), Fraction(1, 3)), (1, 0))
-        with pytest.raises(DomainError):
-            hilbert_distance((Fraction(-1, 2), Fraction(3, 2)),
-                             (Fraction(1, 2), Fraction(1, 2)))
-
-    @given(x=simplex_point, y=simplex_point)
+    @given(x=simplex_point, y=simplex_point, k=st.integers(2, 10**6))
     @settings(max_examples=60, deadline=None)
-    def test_segment_route_agrees(self, x, y):
-        direct = hilbert_distance(x, y)
+    def test_segment_route_agrees(self, x, y, k):
+        direct = projective_distance(x, y)
         via_chord = hilbert_distance_segment(x, y)
         assert via_chord == pytest.approx(direct, rel=1e-9, abs=1e-12)
+        assert projective_distance(ray(x, k), ray(y, 1)) == direct
 
-    @given(x=simplex_point, y=simplex_point)
+    @given(x=simplex_point, y=simplex_point, k=st.integers(2, 10**6))
     @settings(max_examples=60, deadline=None)
-    def test_positive_matrix_contracts(self, x, y):
+    def test_positive_matrix_contracts(self, x, y, k):
         rows = ((2, 1), (1, 2))
-        def act(p):
-            img = (
+        def image(p):
+            return (
                 rows[0][0] * p[0] + rows[0][1] * p[1],
                 rows[1][0] * p[0] + rows[1][1] * p[1],
             )
+        def act(p):
+            img = image(p)
             total = img[0] + img[1]
             return (img[0] / total, img[1] / total)
-        before = hilbert_distance(x, y)
-        after = hilbert_distance(act(x), act(y))
+        before = projective_distance(x, y)
+        after = projective_distance(act(x), act(y))
         assert after <= before / 3 + 1e-12  # factor tanh(ln(4)/4) = 1/3
+        assert projective_distance(image(ray(x, k)), image(ray(y, 1))) == after
 
 
 class TestContraction:

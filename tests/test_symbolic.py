@@ -19,15 +19,13 @@ from hyptiling import (
     ToeplitzModel,
     ToeplitzSpec,
     atlas_words,
-    block_decompose,
     block_type_counts,
     rule_112_122,
-    substitution_image,
     window,
-    word_from_str,
     word_to_str,
 )
-from hyptiling.symbolic import DEFAULT_MATERIALIZE_LIMIT, block_labels
+from hyptiling.symbolic import DEFAULT_MATERIALIZE_LIMIT, AtlasWord, block_labels
+from oracles import block_decompose, substitution_image, word_from_str
 
 RULE = rule_112_122()
 # three letters, length 4: image(1) starts with 1 and image(2) ends with 2
@@ -336,7 +334,7 @@ class TestExpansionRoutes:
             assume(False)
         assume(length <= 3000)
         letter = data.draw(st.sampled_from([1, model.r]) | st.integers(1, model.r))
-        handle = atlas_words(model, q).handles[letter - 1]
+        handle = AtlasWord(model=model, q=q, letter=letter, length=length)
         assert handle.word() == tuple(handle.letter_at(k) for k in range(length))
 
     def test_window_peak_allocation_is_near_the_result(self):
@@ -362,7 +360,7 @@ class TestAtlas:
             length = None
         assume(length is not None and length <= 5000)
         letter = data.draw(st.integers(1, model.r))
-        handle = atlas_words(model, q).handles[letter - 1]
+        handle = AtlasWord(model=model, q=q, letter=letter, length=length)
         assert handle.word() == tuple(handle.letter_at(k) for k in range(length))
 
     def test_toeplitz_level_words(self):
@@ -416,7 +414,8 @@ class TestAtlas:
 
     def test_lazy_letter_at(self):
         t2 = ToeplitzModel.of_rank(2)
-        handle = atlas_words(t2, 5).handles[0]  # length 177147, not materialized
+        handle = AtlasWord(model=t2, q=5, letter=1, length=t2.level_length(5))
+        assert handle.length == 177147  # not materialized
         expected = window(t2, 0, 40)
         # level-5 word 1 occupies positions [0, p_5) of the sequence itself
         assert tuple(handle.letter_at(k) for k in range(40)) == expected
