@@ -26,7 +26,7 @@ from hyptiling import (
     shift_map,
     transport_scaling_check,
 )
-from hyptiling.exact import log_fraction
+from hyptiling.exact import log_fraction, scalar_to_json
 
 
 def cylinder_mass(coefficient, rect) -> float:
@@ -199,8 +199,8 @@ class TestCylinderMass:
 class TestTransport:
     def test_doubling_map(self):
         check = transport_scaling_check(1, (0, 1, 1, 2), doubling_map())
-        assert check.equal is True
-        assert check.alpha == 2 and isinstance(check.alpha, Fraction)
+        assert check.equal
+        assert check.alpha == 2
         assert check.lhs == (2, 2)
         assert check.rhs == (2, 2)
 
@@ -218,6 +218,14 @@ class TestTransport:
     def test_map_rect_image(self):
         g = AffineMap(2, 1)
         assert map_rect(g, (0, 1, 1, 2)) == (1, 3, 2, 4)
+
+    def test_json_exactness(self):
+        """The check keeps exact values: a bool verdict and a Fraction
+        dilation whose JSON wire form is the exact {"num", "den"} pair."""
+        check = transport_scaling_check(1, (0, 1, 1, 2), doubling_map())
+        assert check.equal is True
+        assert isinstance(check.alpha, Fraction)
+        assert scalar_to_json(check.alpha) == {"num": "2", "den": "1"}
 
     @given(
         k=st.integers(-6, 6),
