@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
 
 from .errors import CapError, DomainError, SizeError
 from .exact import exact, floor_log2_fraction, log_fraction, log2_fraction, pow2
@@ -151,13 +150,16 @@ class Patch:
     def tile_count(self) -> int:
         return (1 << self.depth) - 1
 
+    def spans(self):
+        """Yield (row, first_col, end_col, color) per depth, apex first."""
+        row, col = self.apex.row, self.apex.col
+        for j, color in enumerate(self.word):
+            yield row - j, col << j, (col + 1) << j, color
+
     def tiles(self):
         """Yield (TileAddress, color) over the whole patch, apex first."""
-        for j, color in enumerate(self.word):
-            row = self.apex.row - j
-            base = self.apex.col << j
-            for k in range(1 << j):
-                yield TileAddress(row, base + k), color
+        for row, first, end, color in self.spans():
+            yield from ((TileAddress(row, col), color) for col in range(first, end))
 
     def region(self) -> tuple:
         """Bounding (x0, x1, y0, y1): each depth spans the apex x-extent."""
@@ -222,38 +224,44 @@ def occurrence_classes(model_like, q: int, parent_letter: int,
     return tuple(classes)
 
 
+def _union_length(spans) -> int:
+    """Number of cols covered by half-open (first, end) intervals."""
+    total, reach = 0, -math.inf
+    for first, end in sorted(spans):
+        first = max(first, reach)
+        if end > first:
+            total, reach = total + end - first, end
+    return total
+
+
 def patch_partition_check(apex_row: int, apex_cols: range, depth: int) -> dict:
     """Cover check for triangle patches with apexes along one row.
 
     Patches of the given depth apexed at every col in apex_cols must tile the
     slab of rows (apex_row - depth, apex_row] over the matching x-extent:
-    zero uncovered, zero doubly covered.
+    zero uncovered, zero doubly covered.  Each row's column intervals from
+    `Patch.spans()` are compared with the slab's through union lengths,
+    |A & B| = |A| + |B| - |A | B|, so the cost grows with rows, not tiles.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    # Tiles are keyed by their (row, col) ints: tuples hash and compare in C.
-    covered = [
-        (tile.row, tile.col)
-        for apex_col in apex_cols
-        for tile, _ in Patch((1,) * depth, TileAddress(apex_row, apex_col)).tiles()
-    ]
-    seen = set(covered)
-    doubled = len(covered) - len(seen)
-    expected = set()
-    for j in range(depth):
-        row = apex_row - j
-        for apex_col in apex_cols:
-            base = apex_col << j
-            expected.update(zip(repeat(row), range(base, base + (1 << j))))
-    missing = len(expected - seen)
-    extra = len(seen - expected)
-    return {
-        "tiles": len(seen),
-        "doubly_covered": doubled,
-        "uncovered": missing,
-        "outside": extra,
-        "exact": doubled == 0 and missing == 0 and extra == 0,
-    }
+    covered, expected, word = {}, {}, (1,) * depth
+    for apex_col in apex_cols:
+        for row, first, end, _ in Patch(word, TileAddress(apex_row, apex_col)).spans():
+            covered.setdefault(row, []).append((first, end))
+        for j in range(depth):
+            expected.setdefault(apex_row - j, []).append(
+                (apex_col << j, (apex_col + 1) << j))
+    tiles = doubled = missing = extra = 0
+    for row in covered.keys() | expected.keys():
+        got, want = covered.get(row, []), expected.get(row, [])
+        seen, both = _union_length(got), _union_length(got + want)
+        tiles += seen
+        doubled += sum(max(end - first, 0) for first, end in got) - seen
+        missing += both - seen
+        extra += both - _union_length(want)
+    return {"tiles": tiles, "doubly_covered": doubled, "uncovered": missing,
+            "outside": extra, "exact": doubled == missing == extra == 0}
 
 
 # ---------------------------------------------------------------------------

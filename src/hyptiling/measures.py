@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import (
     BudgetError,
@@ -79,6 +80,8 @@ class TransitionMatrix:
 
     def entry_bits(self) -> int:
         """Largest numerator or denominator bit length of the reduced entries."""
+        if not self.shift:  # denominators 1
+            return max(1, max(x.bit_length() for row in self.ints for x in row))
         reduced = (reduce_dyadic(x, self.shift) for row in self.ints for x in row)
         return max(max(n.bit_length(), d.bit_length()) for n, d in reduced)
 
@@ -137,7 +140,7 @@ def _prefix_products(model, scheme: str, q_from: int, q_to: int):
         else:
             cols = tuple(zip(*level.ints))
             ints = tuple(
-                tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                tuple(sum(map(mul, row, col)) for col in cols)
                 for row in ints
             )
         shift += level.shift

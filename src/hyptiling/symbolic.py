@@ -136,6 +136,7 @@ class ToeplitzModel:
     def __init__(self, spec: ToeplitzSpec):
         self.spec = spec
         self._periods = [3]  # p_0
+        self._branchings = []  # branching(q) for q = 0, 1, ...
         self._counts_cache = {}
 
     @classmethod
@@ -181,8 +182,14 @@ class ToeplitzModel:
         return 1 if q == 0 else self.period(q)
 
     def branching(self, q: int) -> int:
-        """Number of level-q words inside one level-(q+1) word."""
-        return self.level_length(q + 1) // self.level_length(q)
+        """Number of level-q words inside one level-(q+1) word, kept per model."""
+        known = self._branchings
+        if not 0 <= q < len(known):
+            high, low = self.level_length(q + 1), self.level_length(q)
+            known.extend(self.level_length(k + 1) // self.level_length(k)
+                         for k in range(len(known), q))
+            known.append(high // low)
+        return known[q]
 
     def block_letter(self, q: int, block: int) -> Letter:
         """Atlas index of the level-q word at block `block` of the sequence.
@@ -515,23 +522,23 @@ def atlas_words(model_like, q: int) -> AtlasLevel:
 def block_type_counts(model_like, base: int, q: int, letter: Letter) -> tuple:
     """Multiplicity of each level-`base` label inside the level-q word `letter`.
 
-    Index 0 of the result counts label 1.  Built one level at a time upward
-    from the highest level at or below q already in the model's cache, so it
-    works far beyond materializable lengths; the counts of every label at
-    each level passed are cached.
+    Index 0 of the result counts label 1.  Built one level at a time upward,
+    so it works far beyond materializable lengths.  The model keeps the counts
+    of every label at the last level reached per base, so walks upward, such
+    as `expected_block_fractions`, stay incremental when repeated; a request
+    below that level starts again from base.
     """
     model = as_model(model_like)
     if base < 0 or q < base:
         raise DomainError(f"need 0 <= base <= level, got base={base}, level={q}")
     if not (1 <= letter <= model.r):
         raise DomainError(f"letter {letter} outside 1..{model.r}")
-    cache = model._counts_cache  # (base, level) -> counts of labels 1..r
-    level = q
-    while level > base and (base, level) not in cache:
-        level -= 1
-    rows = cache.get((base, level)) or tuple(
-        tuple(int(i == j) for i in range(model.r)) for j in range(model.r))
-    for level in range(level + 1, q + 1):
+    cache = model._counts_cache  # base -> (last level reached, its counts)
+    start, rows = cache.get(base, (q + 1, None))
+    if start > q:
+        start, rows = base, tuple(
+            tuple(int(i == j) for i in range(model.r)) for j in range(model.r))
+    for level in range(start + 1, q + 1):
         grown = []
         for parent in range(1, model.r + 1):
             acc = [0] * model.r
@@ -540,5 +547,6 @@ def block_type_counts(model_like, base: int, q: int, letter: Letter) -> tuple:
                     for i in range(model.r):
                         acc[i] += mult * sub[i]
             grown.append(tuple(acc))
-        rows = cache[(base, level)] = tuple(grown)
+        rows = tuple(grown)
+    cache[base] = (q, rows)
     return rows[letter - 1]

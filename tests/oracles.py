@@ -3,14 +3,16 @@
 Each one takes a different route from the library code it checks: the
 Hilbert distance through a chord's cross-ratio, level words by iterating a
 substitution letter by letter, aligned windows block by block through
-`block_letter`, and word strings parsed back to letters.
+`block_letter`, word strings parsed back to letters, and patch partitions
+tile by tile.
 """
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple
 
-from hyptiling import AlignmentError, DomainError, SizeError
+from hyptiling import AlignmentError, DomainError, Patch, SizeError, TileAddress
 
 
 def hilbert_distance_segment(x, y) -> float:
@@ -103,3 +105,33 @@ def word_from_str(text: str) -> tuple:
     if "," in text:
         return tuple(int(part) for part in text.split(","))
     return tuple(int(ch) for ch in text)
+
+
+def partition_by_tiles(apex_row: int, apex_cols: range, depth: int) -> dict:
+    """`patch_partition_check` one tile at a time: the tiles of every
+    `Patch.tiles()` against the expected tile set of the slab."""
+    if depth < 1:
+        raise DomainError("depth must be >= 1")
+    # Tiles are keyed by their (row, col) ints: tuples hash and compare in C.
+    covered = [
+        (tile.row, tile.col)
+        for apex_col in apex_cols
+        for tile, _ in Patch((1,) * depth, TileAddress(apex_row, apex_col)).tiles()
+    ]
+    seen = set(covered)
+    doubled = len(covered) - len(seen)
+    expected = set()
+    for j in range(depth):
+        row = apex_row - j
+        for apex_col in apex_cols:
+            base = apex_col << j
+            expected.update(zip(repeat(row), range(base, base + (1 << j))))
+    missing = len(expected - seen)
+    extra = len(seen - expected)
+    return {
+        "tiles": len(seen),
+        "doubly_covered": doubled,
+        "uncovered": missing,
+        "outside": extra,
+        "exact": doubled == 0 and missing == 0 and extra == 0,
+    }

@@ -29,6 +29,7 @@ from hyptiling import (
     suspension_project,
     tile_containing_point,
 )
+from oracles import partition_by_tiles
 
 R = doubling_map()
 S = shift_map()
@@ -170,6 +171,15 @@ class TestPatches:
         rows = [t.row for t, _ in patch.tiles()]
         assert rows == [5, 4, 4, 3, 3, 3, 3]
 
+    def test_tiles_expand_spans(self):
+        patch = Patch(word=(2, 1, 1, 2), apex=TileAddress(-1, -3))
+        assert list(patch.tiles()) == [
+            (TileAddress(row, col), color)
+            for row, first, end, color in patch.spans()
+            for col in range(first, end)
+        ]
+        assert list(patch.spans())[:2] == [(-1, -3, -2, 2), (-2, -6, -4, 1)]
+
     def test_empty_word_rejected(self):
         with pytest.raises(DomainError):
             Patch(word=(), apex=TileAddress(0, 0))
@@ -265,27 +275,41 @@ class TestPartition:
         ("outside", "outside", 1),
     ])
     def test_faulty_patch_is_caught(self, monkeypatch, fault, key, tiles):
-        """One patch of the row yields a wrong tile set; the report names it."""
-        enumerate_tiles = Patch.tiles
+        """One patch of the row yields a wrong span set; the report names it."""
+        enumerate_spans = Patch.spans
 
         def faulty(patch):
-            out = list(enumerate_tiles(patch))
+            out = list(enumerate_spans(patch))
             if patch.apex.col != 0:
                 return out
+            row, first, end, color = out[-1]
             if fault == "drop":
-                return out[:-1]
+                return out[:-1] + [(row, first, end - 1, color)]
             if fault == "duplicate":
-                return out + out[-1:]
-            above = TileAddress(patch.apex.row + 1, patch.apex.col)
-            return out + [(above, 1)]
+                return out + [(row, end - 1, end, color)]
+            apex = patch.apex
+            return out + [(apex.row + 1, apex.col, apex.col + 1, 1)]
 
-        monkeypatch.setattr(Patch, "tiles", faulty)
+        monkeypatch.setattr(Patch, "spans", faulty)
         report = patch_partition_check(4, range(-3, 5), 5)
         counts = {"doubly_covered": 0, "uncovered": 0, "outside": 0}
         counts[key] = 1
         assert report == {"tiles": 8 * (2**5 - 1) + tiles, **counts,
                           "exact": False}
 
+    @given(apex_row=st.integers(-30, 30), start=st.integers(-40, 40),
+           stop=st.integers(-40, 40), step=st.sampled_from([1, 2, 3, -1, -2, -3]),
+           depth=st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_tile_by_tile_oracle(self, apex_row, start, stop, step,
+                                             depth):
+        cols = range(start, stop, step)
+        assert patch_partition_check(apex_row, cols, depth) == (
+            partition_by_tiles(apex_row, cols, depth))
+
+    def test_cost_does_not_grow_with_tiles(self):
+        report = patch_partition_check(0, range(0, 1), 200)
+        assert report["exact"] and report["tiles"] == 2**200 - 1
 
 class TestSuspension:
     def test_examples(self):

@@ -36,6 +36,7 @@ from hyptiling import (
     projective_distance,
     transition_matrix,
 )
+from hyptiling.exact import reduce_dyadic
 from oracles import hilbert_distance_segment
 
 SUB = SubstitutionModel.standard()
@@ -608,6 +609,33 @@ class TestIntegerRepresentation:
                              shift=2)
         assert m.entry_bits() == 3
         assert m.rows == ((1, 2), (3, 4))
+
+    @given(x=st.one_of(st.just(0), st.integers(-2**2000, 2**2000),
+                       st.integers(0, 2000).map(lambda k: -(1 << k))),
+           others=st.lists(st.integers(-2**70, 2**70), min_size=3, max_size=3),
+           shift=st.one_of(st.just(0), st.integers(1, 2100)))
+    @settings(max_examples=150, deadline=None)
+    def test_entry_bits_match_the_reduced_route(self, x, others, shift):
+        ints = ((x, others[0]), (others[1], others[2]))
+        m = TransitionMatrix(level=0, scheme=TRIANGLE, ints=ints, shift=shift)
+        reduced = [reduce_dyadic(v, shift) for row in ints for v in row]
+        assert m.entry_bits() == max(
+            max(n.bit_length(), d.bit_length()) for n, d in reduced)
+
+    def test_entry_bits_of_zero_matrix(self):
+        m = TransitionMatrix(level=0, scheme=TRIANGLE, ints=((0, 0), (0, 0)))
+        assert m.entry_bits() == 1
+
+    @pytest.mark.parametrize("model,scheme,q_from,q_to,budget,level", [
+        (T2, TRIANGLE, 1, 12, 64, 9),
+        (SUB, TRIANGLE, 0, 200, 100, 63),
+        (SUB, PAPER, 1, 8, 1000, 6),
+        (ToeplitzModel.of_rank(8), TRIANGLE, 0, 47, 300, 19),
+    ], ids=["t2", "sub-triangle", "sub-paper", "t8"])
+    def test_budget_error_level(self, model, scheme, q_from, q_to, budget,
+                                level):
+        with pytest.raises(BudgetError, match=f"through level {level} exceeds"):
+            compose_range(model, scheme, q_from, q_to, bit_budget=budget)
 
     def test_view_is_cached(self):
         m = compose_range(SUB, PAPER, 1, 3)

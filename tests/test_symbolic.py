@@ -78,6 +78,25 @@ class TestPeriods:
         with pytest.raises(CapError):
             model.period(5)
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 8])
+    def test_branching_is_the_period_ratio(self, r):
+        for order in (range(12), reversed(range(12))):  # a miss fills below
+            model = ToeplitzModel(ToeplitzSpec(r=r, max_depth=12))
+            for q in order:
+                assert model.branching(q) == (
+                    model.period(q + 1) // model.level_length(q))
+
+    def test_branching_keeps_its_errors(self):
+        model = ToeplitzModel(ToeplitzSpec(r=2, max_depth=4))
+        with pytest.raises(CapError, match="period index 7 exceeds"):
+            model.branching(6)
+        model.branching(3)
+        with pytest.raises(CapError, match="period index 5 exceeds"):
+            model.branching(4)
+        for q in (-1, -3):
+            with pytest.raises(DomainError):
+                model.branching(q)
+
 
 class TestToeplitzLetters:
     def test_frozen_positions(self):
@@ -520,6 +539,26 @@ class TestCounting:
                 cold = ToeplitzModel.of_rank(3)
                 assert block_type_counts(warm, base, q, i) == (
                     block_type_counts(cold, base, q, i))
+
+    @pytest.mark.parametrize("order", [
+        (9, 5, 2, 0), (0, 2, 5, 9), (5, 5, 9, 9, 2, 2)],
+        ids=["descending", "ascending", "repeated"])
+    def test_counts_do_not_depend_on_level_order(self, order):
+        warm = ToeplitzModel.of_rank(3)
+        for q in order:
+            for base in {0, min(q, 2)}:
+                assert block_type_counts(warm, base, q, 2) == (
+                    block_type_counts(ToeplitzModel.of_rank(3), base, q, 2))
+
+    def test_counts_keep_one_level_per_base(self):
+        model = SubstitutionModel.standard()
+        tracemalloc.start()
+        try:
+            block_type_counts(model, 0, 3000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
     def test_deep_counts_without_materialization(self):
         t2 = ToeplitzModel.of_rank(2)
