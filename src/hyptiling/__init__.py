@@ -3,20 +3,17 @@ geometry, invariant-measure machinery, harmonic checks, leafwise diffusion,
 and rendering."""
 
 from .errors import (
-    AlignmentError, BudgetError, CapError, DegeneracyError, DomainError,
-    InconclusiveError, ModelError, QuadratureError, SizeError, TilingError,
-    UnsupportedSchemeError,
+    BudgetError, CapError, DegeneracyError, DomainError, InconclusiveError,
+    ModelError, QuadratureError, SizeError, TilingError, UnsupportedSchemeError,
 )
 from .exact import exact, pow2
 from .geometry import (
-    AffineMap, AnchoredTiling, OccurrenceClass, Patch, TileAddress,
-    agreement_radius, alpha, doubling_map, hull_distance, identity_map,
-    occurrence_classes, patch_partition_check, shift_map, suspension_project,
-    tile_containing_point,
+    AffineMap, OccurrenceClass, Patch, TileAddress, alpha, identity_map,
+    occurrence_classes, patch_partition_check, tile_containing_point,
 )
 from .harmonic import (
     BoundaryAtoms, TransportCheck, boundary_recover, cylinder_mass_exact,
-    herglotz_evaluate, herglotz_evaluator, map_rect, transport_scaling_check,
+    herglotz_evaluate, map_rect, transport_scaling_check,
 )
 from .measures import (
     PAPER, TRIANGLE, ContractionReport, ErgodicCount, FrequencyResult,
@@ -42,16 +39,15 @@ from .verification import run_all as run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentError", "BudgetError", "CapError", "DegeneracyError",
-    "DomainError", "InconclusiveError", "ModelError", "QuadratureError",
-    "SizeError", "TilingError", "UnsupportedSchemeError", "exact", "pow2",
-    "AffineMap", "AnchoredTiling", "OccurrenceClass", "Patch", "TileAddress",
-    "agreement_radius", "alpha", "doubling_map", "hull_distance",
-    "identity_map", "occurrence_classes", "patch_partition_check", "shift_map",
-    "suspension_project", "tile_containing_point",
+    "BudgetError", "CapError", "DegeneracyError", "DomainError",
+    "InconclusiveError", "ModelError", "QuadratureError", "SizeError",
+    "TilingError", "UnsupportedSchemeError", "exact", "pow2",
+    "AffineMap", "OccurrenceClass", "Patch", "TileAddress", "alpha",
+    "identity_map", "occurrence_classes", "patch_partition_check",
+    "tile_containing_point",
     "BoundaryAtoms", "TransportCheck", "boundary_recover",
-    "cylinder_mass_exact", "herglotz_evaluate", "herglotz_evaluator",
-    "map_rect", "transport_scaling_check", "PAPER", "TRIANGLE",
+    "cylinder_mass_exact", "herglotz_evaluate", "map_rect",
+    "transport_scaling_check", "PAPER", "TRIANGLE",
     "ContractionReport", "ErgodicCount", "FrequencyResult", "LevelContraction",
     "MassResiduals", "SimplexVertices", "TransitionMatrix", "birkhoff_factor",
     "compose_range", "contraction_certificate", "ergodic_measure_count",

@@ -27,7 +27,6 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import CapError, DomainError, SizeError
-from .geometry import tile_containing_point
 from .measures import TRIANGLE, ergodic_measure_count
 from .record import record
 from .symbolic import as_model, block_labels, block_type_counts
@@ -100,23 +99,6 @@ class LeafState:
             )
         if not (0.0 <= self.x_frac < 1.0):
             raise DomainError(f"tile offset {self.x_frac} outside [0, 1)")
-
-    @classmethod
-    def from_point(cls, x: float, y: float) -> "LeafState":
-        tile = tile_containing_point(x, y)
-        scaled = math.ldexp(x, -tile.row)
-        return cls(
-            u=math.log(y),
-            row=tile.row,
-            col=tile.col,
-            x_frac=scaled - tile.col,
-        )
-
-    def point(self) -> tuple:
-        # Reconstruction only works while the column still fits in a float.
-        if abs(self.row) > 900 or abs(self.col) > 2**900:
-            raise DomainError("position magnitude exceeds float range")
-        return (math.ldexp(self.col + self.x_frac, self.row), math.exp(self.u))
 
 
 def default_start() -> LeafState:

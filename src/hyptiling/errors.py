@@ -33,10 +33,6 @@ class UnsupportedSchemeError(DomainError):
     """Matrix scheme is not defined for the requested model."""
 
 
-class AlignmentError(DomainError):
-    """Window boundaries not aligned to the block grid of the requested level."""
-
-
 class DegeneracyError(DomainError):
     """A matrix column or vector degenerated to zero where positivity is required."""
 

@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-ExactLike = "int | Fraction | str"
-
 _LN2 = math.log(2.0)
 
 
@@ -67,31 +65,6 @@ def log_ratio(n: int, d: int) -> float:
     if 0.0 < x < math.inf:
         return math.log(x)
     return log_int(n) - log_int(d)
-
-
-def log_fraction(x) -> float:
-    """Natural log of a positive rational, safe for huge numerators/denominators."""
-    f = exact(x)
-    return log_ratio(f.numerator, f.denominator)
-
-
-def log2_fraction(x) -> float:
-    return log_fraction(x) / _LN2
-
-
-def floor_log2_fraction(x) -> int:
-    """Exact floor(log2 x) for a positive rational."""
-    f = exact(x)
-    if f <= 0:
-        raise DomainError("log of a non-positive rational")
-    num, den = f.numerator, f.denominator
-    k = num.bit_length() - den.bit_length()
-    # num/den in [2**(k-1), 2**(k+1)); settle by exact comparison.
-    if f >= pow2(k + 1):
-        k += 1
-    elif f < pow2(k):
-        k -= 1
-    return k
 
 
 def to_float(x) -> float:

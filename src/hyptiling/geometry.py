@@ -3,10 +3,9 @@
 The prototile is the pentagon with vertices (0,1), (1/2,1), (1,1), (1,2),
 (0,2); its images under z -> 2**row * (z + col) tile the upper half plane in
 horizontal bands, one band per integer row, with the tile width doubling per
-row upward.  This module provides the dilation/translation maps, exact tile
-addressing, triangular patches with their occurrence combinatorics, the
-projection of a dilation onto the suspension circle, and a simplified
-agreement metric between two decorated tilings.
+row upward.  This module provides the affine maps and their dilation weight,
+exact tile addressing, triangular patches with their occurrence
+combinatorics, and the patch partition check.
 """
 
 from __future__ import annotations
@@ -14,12 +13,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import CapError, DomainError, SizeError
-from .exact import exact, floor_log2_fraction, log_fraction, log2_fraction, pow2
+from .errors import DomainError, SizeError
+from .exact import exact, pow2
 from .record import record
 from .symbolic import as_model
-
-_LN2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -47,11 +44,6 @@ class AffineMap:
     def inverse(self) -> "AffineMap":
         return AffineMap(1 / self.a, -self.b / self.a)
 
-    def apply(self, point) -> tuple:
-        """Act on a half-plane point (x, y)."""
-        x, y = point
-        return (self.a * x + self.b, self.a * y)
-
     def power(self, n: int) -> "AffineMap":
         result = identity_map()
         base = self if n >= 0 else self.inverse()
@@ -62,16 +54,6 @@ class AffineMap:
 
 def identity_map() -> AffineMap:
     return AffineMap(Fraction(1), Fraction(0))
-
-
-def doubling_map() -> AffineMap:
-    """z -> 2z, one row up."""
-    return AffineMap(Fraction(2), Fraction(0))
-
-
-def shift_map() -> AffineMap:
-    """z -> z + 1, one tile right."""
-    return AffineMap(Fraction(1), Fraction(1))
 
 
 def alpha(g: AffineMap) -> Fraction:
@@ -104,11 +86,6 @@ class TileAddress:
         x0, x1, y0, y1 = self.region()
         xm = (x0 + x1) / 2
         return ((x0, y0), (xm, y0), (x1, y0), (x1, y1), (x0, y1))
-
-    def map_from_prototile(self) -> AffineMap:
-        """The dilation/translation sending the base tile (0,0) here."""
-        h = pow2(self.row)
-        return AffineMap(h, self.col * h)
 
 
 def tile_containing_point(x: float, y: float) -> TileAddress:
@@ -147,9 +124,6 @@ class Patch:
     def depth(self) -> int:
         return len(self.word)
 
-    def tile_count(self) -> int:
-        return (1 << self.depth) - 1
-
     def spans(self):
         """Yield (row, first_col, end_col, color) per depth, apex first."""
         row, col = self.apex.row, self.apex.col
@@ -173,8 +147,8 @@ class OccurrenceClass:
     """All placements of a child patch at one depth inside a parent patch.
 
     count = 2**depth placements, one per horizontal slot of that depth row;
-    each placement map scales by 2**(-depth), so the class's total dilation
-    weight is exactly 1.
+    each placement scales the child by 2**(-depth), so the dilation weights
+    of the class sum to exactly 1.
     """
 
     parent_level: int
@@ -182,14 +156,6 @@ class OccurrenceClass:
     child_letter: int
     depth: int
     count: int
-
-    def placement_map(self, horizontal: int = 0) -> AffineMap:
-        if not (0 <= horizontal < self.count):
-            raise DomainError(
-                f"horizontal index {horizontal} outside 0..{self.count - 1}"
-            )
-        scale = pow2(-self.depth)
-        return AffineMap(scale, horizontal * scale)
 
 
 def occurrence_classes(model_like, q: int, parent_letter: int,
@@ -263,113 +229,3 @@ def patch_partition_check(apex_row: int, apex_cols: range, depth: int) -> dict:
     return {"tiles": tiles, "doubly_covered": doubled, "uncovered": missing,
             "outside": extra, "exact": doubled == missing == extra == 0}
 
-
-# ---------------------------------------------------------------------------
-# Suspension projection
-
-
-def suspension_project(g: AffineMap) -> tuple:
-    """Project a dilation onto the suspension circle: (frac, shift).
-
-    shift = floor(log2 a) counts whole rows; frac = log2(a) - shift in [0, 1)
-    is the position inside the unit suspension interval.  Exact when a is a
-    power of two.
-    """
-    a = g.a
-    shift = floor_log2_fraction(a)
-    ratio = a / pow2(shift)  # in [1, 2)
-    frac = 0.0 if ratio == 1 else log2_fraction(ratio)
-    if frac >= 1.0:  # guard the float boundary
-        frac, shift = 0.0, shift + 1
-    return (frac, shift)
-
-
-# ---------------------------------------------------------------------------
-# Agreement metric between two decorated tilings
-
-
-@record
-class AnchoredTiling:
-    """A decorated tiling: the model's tiling pulled back by an anchor map.
-
-    Band q of the anchored tiling lies at y in [2**q / a, 2**(q+1) / a) and
-    carries the model letter at position q; its x-grid has spacing 2**q / a
-    and offset -b/a.
-    """
-
-    model: object
-    anchor: AffineMap
-
-    def __post_init__(self):
-        object.__setattr__(self, "model", as_model(self.model))
-
-    def band(self, q: int) -> tuple:
-        lo = pow2(q) / self.anchor.a
-        return (lo, 2 * lo)
-
-    def grid_offset(self) -> Fraction:
-        return -self.anchor.b / self.anchor.a
-
-
-def _band_distance_to_origin(lo: Fraction, hi: Fraction) -> float:
-    """Hyperbolic distance from the base point (0, 1) to the band [lo, hi]."""
-    if lo <= 1 <= hi:
-        return 0.0
-    return min(abs(log_fraction(lo)), abs(log_fraction(hi)))
-
-
-def _power_of_two_ratio(x: Fraction):
-    """Exponent m with x = 2**m, or None."""
-    num, den = x.numerator, x.denominator
-    if num & (num - 1) or den & (den - 1):
-        return None
-    return (num.bit_length() - 1) - (den.bit_length() - 1)
-
-
-def agreement_radius(first: AnchoredTiling, second: AnchoredTiling,
-                     max_band_offset: int = 64) -> float:
-    """Radius of the largest ball around (0, 1) on which the tilings agree.
-
-    Agreement means identical tile regions with identical colors.  Bands
-    coincide only when the anchors' dilation coefficients differ by a power
-    of two; otherwise no tile matches and the radius is 0.  Identical inputs
-    give math.inf; if every scanned band agrees the scan cap is reported as
-    a cap error rather than guessing.
-    """
-    if first.model == second.model and first.anchor == second.anchor:
-        return math.inf
-    ratio = _power_of_two_ratio(second.anchor.a / first.anchor.a)
-    if ratio is None:
-        return 0.0  # incommensurate bands: mismatch at the base point
-    delta = second.grid_offset() - first.grid_offset()
-    center = floor_log2_fraction(first.anchor.a)  # band of the base point
-    best = math.inf
-    for q in range(center - max_band_offset, center + max_band_offset + 1):
-        lo, hi = first.band(q)
-        dist = _band_distance_to_origin(lo, hi)
-        if dist >= best:
-            continue
-        spacing = pow2(q) / first.anchor.a
-        grids_match = (delta / spacing).denominator == 1
-        colors_match = (
-            first.model.letter(q) == second.model.letter(q + ratio)
-        )
-        if not (grids_match and colors_match):
-            best = min(best, dist)
-    if math.isinf(best):
-        raise CapError(
-            f"tilings agree on every band within offset {max_band_offset} "
-            "of the base point; agreement radius exceeds the scan cap"
-        )
-    return best
-
-
-def hull_distance(first: AnchoredTiling, second: AnchoredTiling,
-                  max_band_offset: int = 64) -> float:
-    """min(1, 1/agreement_radius): 1 for immediate disagreement, 0 at infinity."""
-    rho = agreement_radius(first, second, max_band_offset)
-    if rho == 0.0:
-        return 1.0
-    if math.isinf(rho):
-        return 0.0
-    return min(1.0, 1.0 / rho)

@@ -41,9 +41,6 @@ class BoundaryAtoms:
         if self.slope < 0 or not math.isfinite(self.slope):
             raise DomainError(f"slope {self.slope} must be nonnegative and finite")
 
-    def total_mass(self) -> float:
-        return sum(m for _, m in self.atoms)
-
 
 def herglotz_evaluate(measure: BoundaryAtoms, x: float, y: float) -> float:
     """Value at (x, y), y > 0, of the harmonic function the measure induces."""
@@ -53,15 +50,6 @@ def herglotz_evaluate(measure: BoundaryAtoms, x: float, y: float) -> float:
     for s, m in measure.atoms:
         total += m * y / ((s - x) ** 2 + y * y)
     return total
-
-
-def herglotz_evaluator(measure: BoundaryAtoms):
-    """Closure form of the same evaluation, for quadrature callbacks."""
-
-    def func(x: float, y: float) -> float:
-        return herglotz_evaluate(measure, x, y)
-
-    return func
 
 
 #: Pieces the adaptive quadrature may cut its interval into.

@@ -233,6 +233,11 @@ class ToeplitzModel:
         return (s,) + (letter,) * (b - 2) + (s,)
 
     def child_at(self, q: int, letter: Letter, slot: int) -> Letter:
+        """Label at one slot of `children(q, letter)`, with the same checks."""
+        if letter is not None:
+            self._check_letter(letter)
+        if q < 1:
+            raise DomainError("children are defined for levels >= 1")
         b = self.branching(q - 1)
         if not (0 <= slot < b):
             raise DomainError(f"slot {slot} outside 0..{b - 1}")
@@ -333,7 +338,10 @@ class SubstitutionModel:
         return self.rule.image(letter)
 
     def child_at(self, q: int, letter: Letter, slot: int) -> Letter:
-        return self.rule.image(letter)[slot]
+        image = self.children(q, letter)
+        if not (0 <= slot < len(image)):
+            raise DomainError(f"slot {slot} outside 0..{len(image) - 1}")
+        return image[slot]
 
     def children_count_vector(self, q: int, letter: Letter) -> tuple:
         if q < 1:
@@ -460,25 +468,14 @@ def _join(words, labels, size: int) -> bytes:
 class AtlasWord:
     """Handle on the level-q atlas word with a given label.
 
-    Supports O(level) random access without materialization, so it stays
-    usable at levels whose words would not fit in memory.
+    Holds the word's length without materializing it; `word()` expands the
+    letters on request, up to a cap.
     """
 
     model: object
     q: int
     letter: Letter
     length: int
-
-    def letter_at(self, pos: int) -> Letter:
-        if not (0 <= pos < self.length):
-            raise DomainError(f"position {pos} outside the word of length {self.length}")
-        level, label, offset = self.q, self.letter, pos
-        while level > 0:
-            sub = self.model.level_length(level - 1)
-            label = self.model.child_at(level, label, offset // sub)
-            offset %= sub
-            level -= 1
-        return label
 
     def word(self, max_letters: int = DEFAULT_MATERIALIZE_LIMIT) -> Word:
         """Materialize the full word; refuses above max_letters."""

@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 
 from .diffusion import (DiffusionConfig, PathResult, height_law_test, run_paths,
                         simulate_path)
 from .geometry import occurrence_classes
-from .harmonic import BoundaryAtoms, boundary_recover, herglotz_evaluator
+from .harmonic import BoundaryAtoms, boundary_recover, herglotz_evaluate
 from .measures import (
     TRIANGLE,
     compose_range,
@@ -212,7 +213,7 @@ def check_boundary_recovery() -> CheckResult:
     )
     for atoms, y, breaks in cases:
         measure = BoundaryAtoms(atoms=atoms)
-        got = boundary_recover(herglotz_evaluator(measure), 0.0, 1.0,
+        got = boundary_recover(partial(herglotz_evaluate, measure), 0.0, 1.0,
                                y_probe=y, breakpoints=breaks,
                                rel_tol=_RECOVERY_RTOL)
         want = _atoms_interval_mass(measure, 0.0, 1.0, y)

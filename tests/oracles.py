@@ -2,7 +2,8 @@
 
 Each one takes a different route from the library code it checks: the
 Hilbert distance through a chord's cross-ratio, level words by iterating a
-substitution letter by letter, aligned windows block by block through
+substitution letter by letter, single letters of an atlas word by a
+`child_at` walk down the levels, aligned windows block by block through
 `block_letter`, word strings parsed back to letters, and patch partitions
 tile by tile.
 """
@@ -12,7 +13,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple
 
-from hyptiling import AlignmentError, DomainError, Patch, SizeError, TileAddress
+from hyptiling import DomainError, Patch, SizeError, TileAddress
 
 
 def hilbert_distance_segment(x, y) -> float:
@@ -68,6 +69,24 @@ def substitution_image(rule, word, n: int, max_letters: int = 10**6) -> tuple:
             grown.extend(rule.image(a))
         current = tuple(grown)
     return current
+
+
+def letter_at(model, q: int, letter: int, pos: int) -> int:
+    """Letter at position pos of the level-q atlas word `letter`, found in
+    O(q) steps by walking down one child slot per level."""
+    length = model.level_length(q)
+    if not (0 <= pos < length):
+        raise DomainError(f"position {pos} outside the word of length {length}")
+    label, offset = letter, pos
+    for level in range(q, 0, -1):
+        sub = model.level_length(level - 1)
+        label = model.child_at(level, label, offset // sub)
+        offset %= sub
+    return label
+
+
+class AlignmentError(DomainError):
+    """Window boundaries not aligned to the block grid of the requested level."""
 
 
 class BlockDecomposition(NamedTuple):

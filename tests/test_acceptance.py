@@ -5,6 +5,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hyptiling import (
     ergodic_measure_count,
     garnett_compare,
     height_law_test,
-    herglotz_evaluator,
+    herglotz_evaluate,
     mass_conservation_check,
     measure_frequencies,
     occurrence_classes,
@@ -174,12 +175,12 @@ def test_criterion_06_transport_exactness(capsys):
 def test_criterion_07_boundary_recovery(capsys):
     t0 = time.perf_counter()
     atom = BoundaryAtoms(atoms=((0.25, 2.0),))
-    got = boundary_recover(herglotz_evaluator(atom), 0.0, 1.0,
+    got = boundary_recover(partial(herglotz_evaluate, atom), 0.0, 1.0,
                            y_probe=1e-4, breakpoints=(0.25,))
     rel = abs(got - 2.0) / 2.0
     slope_only = BoundaryAtoms(atoms=(), slope=3.0)
-    leak = abs(boundary_recover(herglotz_evaluator(slope_only), -2.0, 2.0,
-                                y_probe=1e-4))
+    leak = abs(boundary_recover(partial(herglotz_evaluate, slope_only),
+                                -2.0, 2.0, y_probe=1e-4))
     elapsed = time.perf_counter() - t0
     checks = [
         (rel <= 0.02, f"atom mass error {rel:.2e} <= 2%"),

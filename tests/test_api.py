@@ -1,18 +1,26 @@
 """The public surface: one name per job."""
 
+import ast
+import pathlib
+
 import pytest
 
 import hyptiling
-from hyptiling.harmonic import TransportCheck
+from hyptiling.diffusion import LeafState
+from hyptiling.geometry import AffineMap, OccurrenceClass, Patch, TileAddress
+from hyptiling.harmonic import BoundaryAtoms, TransportCheck
 from hyptiling.measures import TransitionMatrix
-from hyptiling.symbolic import AtlasLevel, ToeplitzModel
+from hyptiling.symbolic import AtlasLevel, AtlasWord, ToeplitzModel
 
 # Names that only repeated a job another public name does, and names only
 # tests called (their reference routines live in tests/oracles.py).
 DELETED = ("letter_counts", "limit_frequencies", "Occurrence",
            "enumerate_occurrences", "occurrence_table_json", "cylinder_mass",
            "hilbert_distance", "hilbert_distance_segment", "block_decompose",
-           "substitution_image", "word_from_str")
+           "substitution_image", "word_from_str", "AlignmentError",
+           "AnchoredTiling", "agreement_radius", "hull_distance",
+           "suspension_project", "doubling_map", "shift_map",
+           "herglotz_evaluator")
 
 
 def test_every_listed_name_resolves():
@@ -21,7 +29,9 @@ def test_every_listed_name_resolves():
 
 
 def test_deleted_names_are_not_listed():
-    modules = (hyptiling.harmonic, hyptiling.measures, hyptiling.symbolic)
+    modules = (hyptiling.harmonic, hyptiling.measures, hyptiling.symbolic,
+               hyptiling.geometry, hyptiling.exact, hyptiling.errors,
+               hyptiling.diffusion)
     for name in DELETED:
         assert name not in hyptiling.__all__
         assert not any(hasattr(m, name) for m in (hyptiling, *modules))
@@ -35,6 +45,49 @@ def test_deleted_methods_and_fields_are_gone():
     assert not hasattr(TransitionMatrix, "entry")
     assert not hasattr(TransitionMatrix, "column")
     assert "track_position" not in hyptiling.DiffusionConfig.__match_args__
+    assert not hasattr(AffineMap, "apply")
+    assert not hasattr(TileAddress, "map_from_prototile")
+    assert not hasattr(Patch, "tile_count")
+    assert not hasattr(OccurrenceClass, "placement_map")
+    assert not hasattr(LeafState, "from_point")
+    assert not hasattr(LeafState, "point")
+    assert not hasattr(BoundaryAtoms, "total_mass")
+    assert not hasattr(AtlasWord, "letter_at")
+    for name in ("log_fraction", "log2_fraction", "floor_log2_fraction",
+                 "ExactLike"):
+        assert not hasattr(hyptiling.exact, name)
+
+
+def _module_names(tree):
+    """Names a module binds at top level by import, and its `_`-prefixed
+    top-level definitions and assignments.  A decorated definition is handed
+    to its decorator, which counts as a read."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.decorator_list:
+                yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name) and leaf.id.startswith("_"):
+                        yield leaf.id
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in pathlib.Path(hyptiling.__file__).parent.glob("*.py")
+    if p.name != "__init__.py"), ids=lambda p: p.stem)
+def test_no_orphaned_module_names(path):
+    """Every import and every private top-level name is read in its module."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(set(_module_names(tree)) - read) == []
 
 
 def test_verify_runs_the_same_checks_quick_and_full():

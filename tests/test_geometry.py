@@ -1,5 +1,5 @@
-"""Half-plane tiling geometry: maps, tiles, patches, occurrence bookkeeping,
-and the agreement metric."""
+"""Half-plane tiling geometry: maps, tiles, patches, occurrence bookkeeping
+and the partition check."""
 
 import math
 from fractions import Fraction
@@ -10,29 +10,22 @@ from hypothesis import strategies as st
 
 from hyptiling import (
     AffineMap,
-    AnchoredTiling,
-    CapError,
     DomainError,
     Patch,
     SizeError,
     SubstitutionModel,
     TileAddress,
     ToeplitzModel,
-    agreement_radius,
     alpha,
-    doubling_map,
-    hull_distance,
     identity_map,
     occurrence_classes,
     patch_partition_check,
-    shift_map,
-    suspension_project,
     tile_containing_point,
 )
 from oracles import partition_by_tiles
 
-R = doubling_map()
-S = shift_map()
+R = AffineMap(2, 0)  # z -> 2z, one row up
+S = AffineMap(1, 1)  # z -> z + 1, one tile right
 
 dyadic_scale = st.integers(-8, 8).map(lambda k: Fraction(2) ** k)
 dyadic_offset = st.integers(-64, 64).map(lambda n: Fraction(n, 16))
@@ -42,7 +35,7 @@ class TestAffineMaps:
     def test_generators(self):
         assert (R.a, R.b) == (2, 0)
         assert (S.a, S.b) == (1, 1)
-        assert identity_map().apply((3.0, 4.0)) == (3.0, 4.0)
+        assert identity_map() == AffineMap(1, 0)
 
     def test_composition_order(self):
         rs = R.compose(S)  # z -> 2(z + 1)
@@ -50,10 +43,6 @@ class TestAffineMaps:
         sr = S.compose(R)  # z -> 2z + 1
         assert (sr.a, sr.b) == (2, 1)
         assert R @ S == rs
-
-    def test_apply_acts_on_both_coordinates(self):
-        g = AffineMap(Fraction(1, 2), 3)
-        assert g.apply((2, 4)) == (4, 2)
 
     def test_inverse_and_power(self):
         g = R.compose(S)
@@ -117,12 +106,6 @@ class TestTiles:
             Fraction(5, 8), Fraction(6, 8), Fraction(1, 8), Fraction(1, 4),
         )
 
-    def test_map_from_prototile(self):
-        g = TileAddress(1, 3).map_from_prototile()
-        assert (g.a, g.b) == (2, 6)
-        base = TileAddress(0, 0).vertices()
-        assert tuple(g.apply(v) for v in base) == TileAddress(1, 3).vertices()
-
     def test_containing_point_examples(self):
         assert tile_containing_point(0.5, 1.5) == TileAddress(0, 0)
         assert tile_containing_point(3.9, 1.0) == TileAddress(0, 3)
@@ -151,7 +134,6 @@ class TestPatches:
     def test_small_patch(self):
         patch = Patch(word=(1, 2), apex=TileAddress(2, 1))
         assert patch.depth == 2
-        assert patch.tile_count() == 3
         tiles = list(patch.tiles())
         assert tiles == [
             (TileAddress(2, 1), 1),
@@ -163,7 +145,7 @@ class TestPatches:
     def test_tile_count_matches_enumeration(self):
         patch = Patch(word=(1, 2, 1, 2, 2), apex=TileAddress(0, -3))
         tiles = list(patch.tiles())
-        assert len(tiles) == patch.tile_count() == 31
+        assert len(tiles) == 31
         assert len({t for t, _ in tiles}) == 31  # no repeats
 
     def test_rows_shrink_downward(self):
@@ -230,14 +212,6 @@ class TestOccurrences:
             classes = occurrence_classes(model, q, parent)
             total = sum(c.count * (2**lq - 1) for c in classes)
             assert total == 2**lq1 - 1
-
-    def test_placement_weights_exact(self):
-        t3 = ToeplitzModel.of_rank(3)
-        for c in occurrence_classes(t3, 1, 2):
-            for h in (0, c.count - 1):
-                assert alpha(c.placement_map(h)) == Fraction(1, 2**c.depth)
-        with pytest.raises(DomainError):
-            occurrence_classes(t3, 1, 2)[0].placement_map(1)
 
     def test_table_json_shape(self):
         t2 = ToeplitzModel.of_rank(2)
@@ -310,95 +284,3 @@ class TestPartition:
     def test_cost_does_not_grow_with_tiles(self):
         report = patch_partition_check(0, range(0, 1), 200)
         assert report["exact"] and report["tiles"] == 2**200 - 1
-
-class TestSuspension:
-    def test_examples(self):
-        assert suspension_project(identity_map()) == (0.0, 0)
-        assert suspension_project(R) == (0.0, 1)
-        frac, shift = suspension_project(AffineMap(3, 0))
-        assert shift == 1
-        assert frac == pytest.approx(math.log2(3) - 1)
-
-    def test_translation_part_ignored(self):
-        assert suspension_project(AffineMap(4, 17)) == (0.0, 2)
-
-    def test_negative_shift(self):
-        frac, shift = suspension_project(AffineMap(Fraction(3, 8), 0))
-        assert shift == -2
-        assert frac == pytest.approx(math.log2(3) - 1)
-
-    @given(k=st.integers(-30, 30))
-    @settings(max_examples=30, deadline=None)
-    def test_powers_of_two_are_exact(self, k):
-        assert suspension_project(AffineMap(Fraction(2) ** k, 0)) == (0.0, k)
-
-
-class TestAgreement:
-    def setup_method(self):
-        self.t2 = ToeplitzModel.of_rank(2)
-
-    def test_identical_tilings(self):
-        a = AnchoredTiling(self.t2, identity_map())
-        b = AnchoredTiling(self.t2, identity_map())
-        assert agreement_radius(a, b) == math.inf
-        assert hull_distance(a, b) == 0.0
-
-    def test_incommensurate_scales(self):
-        a = AnchoredTiling(self.t2, identity_map())
-        b = AnchoredTiling(self.t2, AffineMap(3, 0))
-        assert agreement_radius(a, b) == 0.0
-        assert hull_distance(a, b) == 1.0
-
-    def test_offset_breaks_fine_rows(self):
-        # shifting by 1 keeps every grid at spacing >= 1 aligned; the first
-        # mismatch is the spacing-2 row, one band above the base point
-        a = AnchoredTiling(self.t2, identity_map())
-        b = AnchoredTiling(self.t2, AffineMap(1, 1))
-        assert agreement_radius(a, b) == pytest.approx(math.log(2))
-        assert hull_distance(a, b) == 1.0
-
-    def test_large_dyadic_offset(self):
-        a = AnchoredTiling(self.t2, identity_map())
-        b = AnchoredTiling(self.t2, AffineMap(1, 32))
-        rho = agreement_radius(a, b)
-        assert rho == pytest.approx(6 * math.log(2))
-        assert hull_distance(a, b) == pytest.approx(1 / rho)
-
-    def test_color_mismatch_after_rescaling(self):
-        # doubling the anchor slides the decoration one band: letters 1 and 2
-        # disagree in the band containing the base point
-        a = AnchoredTiling(self.t2, identity_map())
-        b = AnchoredTiling(self.t2, AffineMap(2, 0))
-        assert agreement_radius(a, b) == 0.0
-
-    def test_cross_rank_color_mismatch(self):
-        # ranks 2 and 3 first differ where the third filling step acts; the
-        # nearest such band to the base point sets the radius
-        t3 = ToeplitzModel.of_rank(3)
-        a = AnchoredTiling(self.t2, identity_map())
-        b = AnchoredTiling(t3, identity_map())
-        def band_dist(q):
-            if 2.0**q <= 1 <= 2.0 ** (q + 1):
-                return 0.0
-            return min(abs(q), abs(q + 1)) * math.log(2)
-
-        nearest = min(
-            band_dist(q)
-            for q in range(-40, 40)
-            if self.t2.letter(q) != t3.letter(q)
-        )
-        assert agreement_radius(a, b) == pytest.approx(nearest)
-
-    def test_periodic_rank_one_saturates_scan(self):
-        # a constant decoration shifted by 2**65 agrees on every band the
-        # default scan reaches; that must surface as a cap, not a guess
-        t1 = ToeplitzModel.of_rank(1)
-        a = AnchoredTiling(t1, identity_map())
-        b = AnchoredTiling(t1, AffineMap(1, Fraction(2) ** 65))
-        with pytest.raises(CapError):
-            agreement_radius(a, b)
-        with pytest.raises(CapError):
-            hull_distance(a, b)
-        # widening the scan finds the first broken grid row
-        rho = agreement_radius(a, b, max_band_offset=80)
-        assert rho == pytest.approx(66 * math.log(2))

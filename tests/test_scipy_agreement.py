@@ -7,6 +7,7 @@ import math
 import random
 import warnings
 from types import SimpleNamespace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from hyptiling import (
     QuadratureError,
     SubstitutionModel,
     boundary_recover,
-    herglotz_evaluator,
     height_law_test,
+    herglotz_evaluate,
     log_height_samples,
     run_paths,
 )
@@ -136,7 +137,7 @@ def test_boundary_recover_on_random_atom_measures():
                                 slope=rng.choice((0.0, rng.uniform(0.0, 3.0))))
         y = 10.0 ** rng.uniform(-5.0, -2.0)
         breaks = [s for s, _ in atoms]
-        func = herglotz_evaluator(measure)
+        func = partial(herglotz_evaluate, measure)
         want = atoms_interval_mass(measure, 0.0, 1.0, y)
         try:
             got = boundary_recover(func, 0.0, 1.0, y_probe=y,

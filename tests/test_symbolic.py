@@ -20,12 +20,14 @@ from hyptiling import (
     ToeplitzSpec,
     atlas_words,
     block_type_counts,
+    occurrence_classes,
     rule_112_122,
     window,
     word_to_str,
 )
 from hyptiling.symbolic import DEFAULT_MATERIALIZE_LIMIT, AtlasWord, block_labels
-from oracles import block_decompose, substitution_image, word_from_str
+from oracles import (AlignmentError, block_decompose, letter_at, substitution_image,
+                     word_from_str)
 
 RULE = rule_112_122()
 # three letters, length 4: image(1) starts with 1 and image(2) ends with 2
@@ -354,7 +356,8 @@ class TestExpansionRoutes:
         assume(length <= 3000)
         letter = data.draw(st.sampled_from([1, model.r]) | st.integers(1, model.r))
         handle = AtlasWord(model=model, q=q, letter=letter, length=length)
-        assert handle.word() == tuple(handle.letter_at(k) for k in range(length))
+        assert handle.word() == tuple(letter_at(model, q, letter, k)
+                                      for k in range(length))
 
     def test_window_peak_allocation_is_near_the_result(self):
         model = SubstitutionModel.standard()
@@ -380,7 +383,8 @@ class TestAtlas:
         assume(length is not None and length <= 5000)
         letter = data.draw(st.integers(1, model.r))
         handle = AtlasWord(model=model, q=q, letter=letter, length=length)
-        assert handle.word() == tuple(handle.letter_at(k) for k in range(length))
+        assert handle.word() == tuple(letter_at(model, q, letter, k)
+                                      for k in range(length))
 
     def test_toeplitz_level_words(self):
         t2 = ToeplitzModel.of_rank(2)
@@ -437,7 +441,22 @@ class TestAtlas:
         assert handle.length == 177147  # not materialized
         expected = window(t2, 0, 40)
         # level-5 word 1 occupies positions [0, p_5) of the sequence itself
-        assert tuple(handle.letter_at(k) for k in range(40)) == expected
+        assert tuple(letter_at(t2, 5, 1, k) for k in range(40)) == expected
+
+    @pytest.mark.parametrize("model", [ToeplitzModel.of_rank(2),
+                                       SubstitutionModel.standard()],
+                             ids=["toeplitz", "substitution"])
+    def test_child_at_checks_like_children(self, model):
+        assert [model.child_at(1, 2, k) for k in range(3)] == list(
+            model.children(1, 2))
+        # a letter outside 1..r, a slot outside 0..2 (negative ones too) and
+        # level 0 are all refused, by both models alike
+        for q, letter, slot in ((1, 99, 1), (1, 0, 0), (1, 1, -1), (1, 1, 3),
+                                (0, 1, 0)):
+            with pytest.raises(DomainError):
+                model.child_at(q, letter, slot)
+        with pytest.raises(DomainError):
+            occurrence_classes(model, 0, 99)
 
 
 class TestBlockDecompose:
@@ -453,8 +472,6 @@ class TestBlockDecompose:
 
     def test_alignment_required(self):
         t2 = ToeplitzModel.of_rank(2)
-        from hyptiling import AlignmentError
-
         with pytest.raises(AlignmentError):
             block_decompose(t2, (1, 10), 1)
         with pytest.raises(AlignmentError):
