@@ -31,8 +31,7 @@ from .diffusion import (
 from .render import render_svg
 from .symbolic import (
     AtlasWord, SubstitutionModel, SubstitutionRule, ToeplitzModel,
-    ToeplitzSpec, atlas_words, block_type_counts, rule_112_122, window,
-    word_to_str,
+    atlas_words, block_type_counts, rule_112_122, window, word_to_str,
 )
 from .verification import run_all as run_verification
 
@@ -58,6 +57,6 @@ __all__ = [
     "garnett_compare", "height_law_test", "log_height_samples",
     "log_height_stats", "run_paths", "simulate_path", "render_svg",
     "AtlasWord", "SubstitutionModel", "SubstitutionRule", "ToeplitzModel",
-    "ToeplitzSpec", "atlas_words", "block_type_counts", "rule_112_122",
-    "window", "word_to_str", "run_verification",
+    "atlas_words", "block_type_counts", "rule_112_122", "window",
+    "word_to_str", "run_verification",
 ]

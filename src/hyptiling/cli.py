@@ -114,9 +114,8 @@ def _model_echo(model) -> dict:
     if model is None:
         return {"name": "none"}
     echo = {"name": model.name, "r": model.r}
-    spec = getattr(model, "spec", None)
-    if spec is not None:
-        echo["max_depth"] = spec.max_depth
+    if model.name == "toeplitz":
+        echo["max_depth"] = model.max_depth
     return echo
 
 

@@ -27,9 +27,9 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import CapError, DomainError, SizeError
-from .measures import TRIANGLE, ergodic_measure_count
+from .measures import TRIANGLE, _prefix_products, ergodic_measure_count
 from .record import record
-from .symbolic import as_model, block_labels, block_type_counts
+from .symbolic import _size_text, as_model, block_labels
 
 LN2 = math.log(2.0)
 
@@ -65,14 +65,14 @@ class DiffusionConfig:
                             "overflows the step count")
         if self.n_steps > MAX_STEPS:
             raise SizeError(
-                f"{self.n_steps} steps exceeds the {MAX_STEPS} step cap"
+                f"{_size_text(self.n_steps)} steps exceeds the {MAX_STEPS} step cap"
             )
         if self.trace_stride > 0:
             points = self.paths * (self.n_steps // self.trace_stride + 1)
             if points > MAX_TRACE_POINTS:
                 raise SizeError(
-                    f"{points} trace points exceeds the {MAX_TRACE_POINTS} "
-                    "point cap; raise the trace stride"
+                    f"{_size_text(points)} trace points exceeds the "
+                    f"{MAX_TRACE_POINTS} point cap; raise the trace stride"
                 )
 
     @property
@@ -551,11 +551,13 @@ def expected_block_fractions(model_like, q: int) -> tuple:
 
     Deepens the exact per-label block counts inside one level-Q word until
     the normalized vector stops moving; valid only under a unique measure.
+    Column 0 of the triangle product of levels q .. Q-1 holds those counts
+    for the level-Q word with label 1.
     """
     model = as_model(model_like)
     prev = None
-    for big in range(q + 1, _FRACTIONS_MAX_LEVEL + 1):
-        counts = block_type_counts(model, q, big, 1)
+    for _, product in _prefix_products(model, TRIANGLE, q, _FRACTIONS_MAX_LEVEL):
+        counts = [row[0] for row in product.ints]
         total = sum(counts)
         cur = tuple(Fraction(c, total) for c in counts)
         cur_f = tuple(float(x) for x in cur)
@@ -603,14 +605,18 @@ def garnett_compare(config: DiffusionConfig, q: int = 0,
     else:
         bands = [math.inf] * model.r
 
-    count = ergodic_measure_count(model, scheme)
-    unique = count.status == "stabilized" and count.count == 1
+    try:
+        count = ergodic_measure_count(model, scheme)
+        certified, why = count.status == "stabilized", ""
+    except CapError as err:  # the model's max_depth ends the walk first
+        certified, why = False, f" ({err})"
+    unique = certified and count.count == 1
     note = ""
     expected = None
     if unique:
         expected = list(expected_block_fractions(model, q))
-    elif count.status != "stabilized":
-        note = "measure count not certified; no expected fractions"
+    elif not certified:
+        note = f"measure count not certified{why}; no expected fractions"
     else:
         note = "non-uniquely-ergodic: no single expectation"
 

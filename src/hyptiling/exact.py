@@ -68,7 +68,7 @@ def log_ratio(n: int, d: int) -> float:
 
 
 def to_float(x) -> float:
-    """Fraction to float, falling back to log-scaling when float() overflows."""
+    """Exact scalar to float: +inf or -inf when it is beyond the float range."""
     f = exact(x)
     try:
         return float(f)

@@ -26,7 +26,8 @@ def _frozen(self, name, *value):
 
 def record(cls):
     """Make cls an immutable value over its annotated fields, in order: a
-    class attribute gives a field its default and `__post_init__` runs last."""
+    class attribute gives a field its default and `__post_init__` runs last.
+    A `__repr__` the class defines is kept."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
     params = "".join(f", {n}=_d[{n!r}]" if n in cls.__dict__ else f", {n}" for n in names)
     # object.__setattr__, as dataclasses do: filling self.__dict__ directly
@@ -39,6 +40,6 @@ def record(cls):
     cls.__init__, cls.__match_args__ = ns["__init__"], names
     # The field tuple, as dataclasses hash it (one name alone gives no tuple).
     cls._values = attrgetter(*names) if len(names) > 1 else lambda s: (getattr(s, *names),)
-    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
+    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, cls.__dict__.get("__repr__", _repr)
     cls.__setattr__ = cls.__delattr__ = _frozen
     return cls

@@ -28,8 +28,7 @@ from .record import record
 Letter = int  # letters are 1-based: 1..r
 Word = tuple  # tuple of Letter
 
-#: Words longer than this are not materialized eagerly; callers get lazy
-#: handles with O(level) random access instead.
+#: Windows and atlas words longer than this are refused with a SizeError.
 DEFAULT_MATERIALIZE_LIMIT = 10**6
 
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # letters as digits
@@ -52,25 +51,7 @@ def _size_text(n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Specs
-
-
-@record
-class ToeplitzSpec:
-    """Parameters of the Toeplitz family: alphabet size and a step cap.
-
-    max_depth bounds how many filling steps a positional query may walk
-    before raising a cap error; each step is O(1), so generous caps are fine.
-    """
-
-    r: int
-    max_depth: int = 48
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise DomainError(f"alphabet size must be >= 1, got {self.r}")
-        if self.max_depth < 1:
-            raise DomainError(f"max_depth must be >= 1, got {self.max_depth}")
+# Rules
 
 
 @record
@@ -121,40 +102,32 @@ def rule_112_122() -> SubstitutionRule:
 # Models
 
 
+@record
 class ToeplitzModel:
-    """Sequence model for the Toeplitz family.
+    """Sequence model for the Toeplitz family over r letters.
 
     Step 1 writes color s_1 at every position q = 0, -1 (mod p_1).  Step i+1
     writes color s_{i+1} into the still-undefined positions of the p_i-blocks
     whose index k satisfies k = 0 or -1 (mod 3**i).  Colors cycle through the
     alphabet: s_i = ((i-1) mod r) + 1.  Block indices use floor division, so
-    negative positions are covered without special cases.
+    negative positions are covered without special cases.  max_depth bounds
+    how many filling steps a positional query may walk before raising a cap
+    error; each step is O(1), so generous caps are fine.
     """
 
+    r: int
+    max_depth: int = 48
     name = "toeplitz"
 
-    def __init__(self, spec: ToeplitzSpec):
-        self.spec = spec
-        self._periods = [3]  # p_0
-        self._branchings = []  # branching(q) for q = 0, 1, ...
-        self._counts_cache = {}
+    def __post_init__(self):
+        if self.r < 1:
+            raise DomainError(f"alphabet size must be >= 1, got {self.r}")
+        if self.max_depth < 1:
+            raise DomainError(f"max_depth must be >= 1, got {self.max_depth}")
 
     @classmethod
     def of_rank(cls, r: int, max_depth: int = 48) -> "ToeplitzModel":
-        return cls(ToeplitzSpec(r=r, max_depth=max_depth))
-
-    def __eq__(self, other):
-        return isinstance(other, ToeplitzModel) and self.spec == other.spec
-
-    def __hash__(self):
-        return hash(("toeplitz", self.spec))
-
-    def __repr__(self):
-        return f"ToeplitzModel(r={self.r}, max_depth={self.spec.max_depth})"
-
-    @property
-    def r(self) -> int:
-        return self.spec.r
+        return cls(r, max_depth)
 
     def color(self, i: int) -> Letter:
         """Step color s_i = ((i-1) mod r) + 1, for i >= 1."""
@@ -163,17 +136,12 @@ class ToeplitzModel:
         return (i - 1) % self.r + 1
 
     def period(self, i: int) -> int:
-        """p_i with p_0 = 3 and p_{i+1} = 3**i * p_i."""
+        """p_i = 3**(1 + i(i-1)/2), which solves p_0 = 3, p_{i+1} = 3**i * p_i."""
         if i < 0:
             raise DomainError(f"period index must be >= 0, got {i}")
-        if i > self.spec.max_depth:
-            raise CapError(
-                f"period index {i} exceeds max_depth {self.spec.max_depth}"
-            )
-        while len(self._periods) <= i:
-            j = len(self._periods) - 1
-            self._periods.append(3**j * self._periods[j])
-        return self._periods[i]
+        if i > self.max_depth:
+            raise CapError(f"period index {i} exceeds max_depth {self.max_depth}")
+        return 3 ** (1 + i * (i - 1) // 2)
 
     def level_length(self, q: int) -> int:
         """Length of a level-q word: 1 at level 0, p_q above."""
@@ -182,14 +150,13 @@ class ToeplitzModel:
         return 1 if q == 0 else self.period(q)
 
     def branching(self, q: int) -> int:
-        """Number of level-q words inside one level-(q+1) word, kept per model."""
-        known = self._branchings
-        if not 0 <= q < len(known):
-            high, low = self.level_length(q + 1), self.level_length(q)
-            known.extend(self.level_length(k + 1) // self.level_length(k)
-                         for k in range(len(known), q))
-            known.append(high // low)
-        return known[q]
+        """Number of level-q words inside one level-(q+1) word: 3**q, and 3
+        at q = 0 (p_{q+1} over the level-q length)."""
+        if q < 0:
+            raise DomainError(f"level must be >= 0, got {q}")
+        if q >= self.max_depth:
+            raise CapError(f"period index {q + 1} exceeds max_depth {self.max_depth}")
+        return 3 ** max(q, 1)
 
     def block_letter(self, q: int, block: int) -> Letter:
         """Atlas index of the level-q word at block `block` of the sequence.
@@ -202,7 +169,7 @@ class ToeplitzModel:
 
     def block_letter_step(self, q: int, block: int) -> tuple:
         level, k = q, block
-        while level < self.spec.max_depth:
+        while level < self.max_depth:
             b = self.branching(level)
             pos = k % b
             if pos == 0 or pos == b - 1:
@@ -211,7 +178,7 @@ class ToeplitzModel:
             level += 1
         raise CapError(
             f"level-{q} block {block} not determined within "
-            f"{self.spec.max_depth} filling steps; raise max_depth"
+            f"{self.max_depth} filling steps; raise max_depth"
         )
 
     def letter(self, position: int) -> Letter:
@@ -261,6 +228,7 @@ class ToeplitzModel:
             raise DomainError(f"letter {letter} outside 1..{self.r}")
 
 
+@record
 class SubstitutionModel:
     """Sequence model for a constant-length substitution fixed point.
 
@@ -270,27 +238,20 @@ class SubstitutionModel:
     ends with 2; the constructor rejects rules without that property.
     """
 
+    rule: SubstitutionRule
     name = "substitution"
 
-    def __init__(self, rule: SubstitutionRule):
-        if rule.r < 2:
+    def __post_init__(self):
+        if self.rule.r < 2:
             raise ModelError("fixed-point model needs letters 1 and 2")
-        if rule.image(1)[0] != 1:
+        if self.rule.image(1)[0] != 1:
             raise ModelError("image of 1 must start with 1 for the right limit")
-        if rule.image(2)[-1] != 2:
+        if self.rule.image(2)[-1] != 2:
             raise ModelError("image of 2 must end with 2 for the left limit")
-        self.rule = rule
-        self._counts_cache = {}
 
     @classmethod
     def standard(cls) -> "SubstitutionModel":
         return cls(rule_112_122())
-
-    def __eq__(self, other):
-        return isinstance(other, SubstitutionModel) and self.rule == other.rule
-
-    def __hash__(self):
-        return hash(("substitution", self.rule))
 
     def __repr__(self):
         images = [word_to_str(w, self.r) for w in self.rule.images]
@@ -353,11 +314,9 @@ class SubstitutionModel:
 
 
 def as_model(source):
-    """Coerce a spec/rule/model into a model object."""
+    """Coerce a rule or model into a model object."""
     if isinstance(source, (ToeplitzModel, SubstitutionModel)):
         return source
-    if isinstance(source, ToeplitzSpec):
-        return ToeplitzModel(source)
     if isinstance(source, SubstitutionRule):
         return SubstitutionModel(source)
     raise DomainError(f"not a sequence model: {source!r}")
@@ -519,23 +478,16 @@ def atlas_words(model_like, q: int) -> AtlasLevel:
 def block_type_counts(model_like, base: int, q: int, letter: Letter) -> tuple:
     """Multiplicity of each level-`base` label inside the level-q word `letter`.
 
-    Index 0 of the result counts label 1.  Built one level at a time upward,
-    so it works far beyond materializable lengths.  The model keeps the counts
-    of every label at the last level reached per base, so walks upward, such
-    as `expected_block_fractions`, stay incremental when repeated; a request
-    below that level starts again from base.
+    Index 0 of the result counts label 1.  Built one level at a time upward
+    from base, so it works far beyond materializable lengths.
     """
     model = as_model(model_like)
     if base < 0 or q < base:
         raise DomainError(f"need 0 <= base <= level, got base={base}, level={q}")
     if not (1 <= letter <= model.r):
         raise DomainError(f"letter {letter} outside 1..{model.r}")
-    cache = model._counts_cache  # base -> (last level reached, its counts)
-    start, rows = cache.get(base, (q + 1, None))
-    if start > q:
-        start, rows = base, tuple(
-            tuple(int(i == j) for i in range(model.r)) for j in range(model.r))
-    for level in range(start + 1, q + 1):
+    rows = tuple(tuple(int(i == j) for i in range(model.r)) for j in range(model.r))
+    for level in range(base + 1, q + 1):
         grown = []
         for parent in range(1, model.r + 1):
             acc = [0] * model.r
@@ -545,5 +497,4 @@ def block_type_counts(model_like, base: int, q: int, letter: Letter) -> tuple:
                         acc[i] += mult * sub[i]
             grown.append(tuple(acc))
         rows = tuple(grown)
-    cache[base] = (q, rows)
     return rows[letter - 1]

@@ -1,7 +1,9 @@
 """The public surface: one name per job."""
 
 import ast
+import importlib
 import pathlib
+import pkgutil
 
 import pytest
 
@@ -20,7 +22,7 @@ DELETED = ("letter_counts", "limit_frequencies", "Occurrence",
            "substitution_image", "word_from_str", "AlignmentError",
            "AnchoredTiling", "agreement_radius", "hull_distance",
            "suspension_project", "doubling_map", "shift_map",
-           "herglotz_evaluator")
+           "herglotz_evaluator", "ToeplitzSpec")
 
 
 def test_every_listed_name_resolves():
@@ -56,6 +58,31 @@ def test_deleted_methods_and_fields_are_gone():
     for name in ("log_fraction", "log2_fraction", "floor_log2_fraction",
                  "ExactLike"):
         assert not hasattr(hyptiling.exact, name)
+
+
+def test_every_class_is_an_error_or_a_frozen_record():
+    """A class is a package exception or an immutable value: a `@record`
+    whose fields cannot be assigned, so no object keeps state between calls."""
+    from hyptiling.cli import _CliUsage
+
+    found = []
+    for info in pkgutil.iter_modules(hyptiling.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"hyptiling.{info.name}")
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            found.append(cls.__name__)
+            if issubclass(cls, (hyptiling.TilingError, _CliUsage)):
+                continue
+            fields = cls.__dict__.get("__match_args__")
+            assert fields, f"{cls.__name__} is not a record"
+            value = object.__new__(cls)
+            for name in fields:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, None)
+    assert {"ToeplitzModel", "SubstitutionModel", "Opt"} <= set(found)
 
 
 def _module_names(tree):

@@ -432,6 +432,34 @@ class TestDiffuse:
         assert code == 4
         assert "uncolorable" in err
 
+    def test_capped_measure_count_keeps_the_paths(self):
+        # the count's walk needs period index 4, past max_depth 3, but the
+        # three paths finish; the report says why no expectation is given
+        code, payload = run_json(
+            ["diffuse", "--model", "toeplitz", "--r", "3", "--max-depth", "3",
+             "--paths", "3", "--horizon", "5"]
+        )
+        assert code == 0
+        occupancy = payload["occupancy"]
+        assert occupancy["complete_paths"] == 3
+        assert occupancy["unique_measure"] is False
+        assert occupancy["note"] == (
+            "measure count not certified (period index 4 exceeds max_depth 3); "
+            "no expected fractions")
+        assert [row["expected"] for row in occupancy["labels"]] == [None] * 3
+
+    @pytest.mark.parametrize("flags, text", [
+        (["--horizon", "1", "--dt", "1e-300"],
+         "at least 10^299 steps exceeds the 100000000 step cap"),
+        (["--horizon", "1", "--dt", "1", "--stride", "1", "--paths", "1" + "0" * 39],
+         "at least 10^39 trace points exceeds"),
+    ], ids=["steps", "trace-points"])
+    def test_size_caps_print_the_power_of_ten(self, flags, text):
+        code, stdout, err = run(["diffuse", "--model", "substitution", *flags])
+        assert code == 5
+        assert_short_error(stdout, err)
+        assert text in err
+
     def test_overflowing_step_count_exits_before_any_path(self, monkeypatch):
         calls = []
         monkeypatch.setattr("hyptiling.diffusion.simulate_path",

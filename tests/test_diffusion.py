@@ -3,6 +3,7 @@ height law, occupancy comparisons."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hyptiling import (
     SizeError,
     SubstitutionModel,
     ToeplitzModel,
+    block_type_counts,
     default_start,
     garnett_compare,
     height_law_test,
@@ -82,8 +84,10 @@ class TestConfig:
         DiffusionConfig(SUB, dt=1.0, horizon=1e7, trace_stride=0)
 
     def test_model_coercion(self):
-        cfg = DiffusionConfig(ToeplitzModel.of_rank(2).spec)
-        assert cfg.model.name == "toeplitz"
+        cfg = DiffusionConfig(SUB.rule)
+        assert cfg.model == SUB
+        model = ToeplitzModel.of_rank(2)
+        assert DiffusionConfig(model).model is model
 
 
 class TestLeafState:
@@ -419,6 +423,20 @@ class TestExpectedFractions:
             assert fracs[0] == pytest.approx(0.5, abs=1e-6)
             assert fracs[1] == pytest.approx(0.5, abs=1e-6)
             assert sum(fracs) == pytest.approx(1.0, abs=1e-12)
+
+    def test_fractions_are_the_block_counts_at_the_stopping_level(self):
+        for q in (0, 1):
+            fracs = expected_block_fractions(SUB, q)
+            # the first level Q whose fractions moved less than the tolerance
+            prev = None
+            for big in range(q + 1, diffusion._FRACTIONS_MAX_LEVEL + 1):
+                counts = block_type_counts(SUB, q, big, 1)
+                cur = tuple(float(Fraction(c, sum(counts))) for c in counts)
+                moved = max(abs(a - b) for a, b in zip(prev, cur)) if prev else 1
+                if moved < diffusion._FRACTIONS_TOL:
+                    break
+                prev = cur
+            assert fracs == cur
 
 
 class TestGarnettCompare:

@@ -1,4 +1,5 @@
-"""Exact scalar helpers: decimal wire strings and logs of integer ratios."""
+"""Exact scalar helpers: decimal wire strings, floats and logs of integer
+ratios."""
 
 import decimal
 import math
@@ -14,6 +15,7 @@ from hyptiling.exact import (
     decimal_string,
     log_ratio,
     scalar_to_json,
+    to_float,
 )
 
 
@@ -57,6 +59,17 @@ class TestDecimalStrings:
         wire = scalar_to_json(Fraction(3, 2**20_000))
         assert wire["num"] == "3"
         assert decimal.Decimal(wire["den"]) == decimal.Decimal(2**20_000)
+
+
+class TestToFloat:
+    def test_in_range(self):
+        assert to_float(Fraction(1, 3)) == 1 / 3
+        assert to_float(-7) == -7.0
+
+    def test_beyond_the_float_range_is_infinite(self):
+        assert to_float(10**400) == math.inf
+        assert to_float(-(10**400)) == -math.inf
+        assert to_float(Fraction(10**400, 3)) == math.inf
 
 
 class TestLogRatio:

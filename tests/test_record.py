@@ -14,10 +14,11 @@ from hyptiling import (
     SubstitutionModel,
     SubstitutionRule,
     TileAddress,
-    ToeplitzSpec,
+    ToeplitzModel,
     simulate_path,
     transition_matrix,
 )
+from hyptiling.record import record
 
 SUB = SubstitutionModel.standard()
 
@@ -37,7 +38,7 @@ class TestConstruction:
         cfg = DiffusionConfig(SUB)
         assert (cfg.dt, cfg.horizon, cfg.paths, cfg.seed, cfg.trace_stride) == (
             1e-3, 2000.0, 50, 0, 0)
-        assert ToeplitzSpec(3).max_depth == 48
+        assert ToeplitzModel(3).max_depth == 48
         assert DiffusionConfig(SUB, seed=4).paths == 50
 
     @pytest.mark.parametrize("args, kwargs", [
@@ -105,6 +106,20 @@ class TestValueSemantics:
             "trace=((0, 0.4054651081081644, 0), (1, 1.0689543896292992, 1), "
             "(2, 0.6579883560479729, 0), (3, 1.0232101772839672, 1)))")
 
+    def test_class_defined_repr_is_kept(self):
+        @record
+        class Named:
+            n: int
+
+            def __repr__(self):
+                return f"Named#{self.n}"
+
+        assert repr(Named(3)) == "Named#3" == repr(Named(n=3))
+        assert Named(3) == Named(3) != Named(4)
+        assert hash(Named(3)) == hash((3,))
+        assert repr(SUB) == "SubstitutionModel(112/122)"
+        assert repr(ToeplitzModel(2)) == "ToeplitzModel(r=2, max_depth=48)"
+
     @pytest.mark.parametrize("name", ["row", "extra"])
     def test_frozen(self, name):
         tile = TileAddress(1, 2)
@@ -127,6 +142,7 @@ class TestValueSemantics:
         lambda: DiffusionConfig(SUB, dt=0.5, horizon=1.0, paths=2),
         lambda: transition_matrix(SUB, 2, "paper"),
         lambda: SubstitutionRule(((1, 1, 2), (1, 2, 2))),
+        lambda: ToeplitzModel(3, max_depth=7),
         _path,
     ])
     def test_pickle_round_trip(self, make):

@@ -17,11 +17,12 @@ from hyptiling import (
     SubstitutionModel,
     SubstitutionRule,
     ToeplitzModel,
-    ToeplitzSpec,
     atlas_words,
     block_type_counts,
+    ergodic_measure_count,
     occurrence_classes,
     rule_112_122,
+    transition_matrix,
     window,
     word_to_str,
 )
@@ -64,32 +65,31 @@ def brute_force_filling(r: int, lo: int, hi: int, max_step: int = 6) -> dict:
 
 class TestPeriods:
     def test_frozen_values(self):
-        model = ToeplitzModel(ToeplitzSpec(r=2))
+        model = ToeplitzModel(r=2)
         assert [model.period(i) for i in range(6)] == [
             3, 3, 9, 81, 2187, 177147,
         ]
 
     def test_recurrence(self):
-        model = ToeplitzModel(ToeplitzSpec(r=3, max_depth=12))
+        model = ToeplitzModel(r=3, max_depth=12)
         for i in range(12):
             assert model.period(i + 1) == 3**i * model.period(i)
 
     def test_depth_cap(self):
-        model = ToeplitzModel(ToeplitzSpec(r=2, max_depth=4))
+        model = ToeplitzModel(r=2, max_depth=4)
         model.period(4)
         with pytest.raises(CapError):
             model.period(5)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 8])
     def test_branching_is_the_period_ratio(self, r):
-        for order in (range(12), reversed(range(12))):  # a miss fills below
-            model = ToeplitzModel(ToeplitzSpec(r=r, max_depth=12))
-            for q in order:
-                assert model.branching(q) == (
-                    model.period(q + 1) // model.level_length(q))
+        model = ToeplitzModel(r=r, max_depth=12)
+        for q in range(12):
+            assert model.branching(q) == (
+                model.period(q + 1) // model.level_length(q))
 
     def test_branching_keeps_its_errors(self):
-        model = ToeplitzModel(ToeplitzSpec(r=2, max_depth=4))
+        model = ToeplitzModel(r=2, max_depth=4)
         with pytest.raises(CapError, match="period index 7 exceeds"):
             model.branching(6)
         model.branching(3)
@@ -102,7 +102,7 @@ class TestPeriods:
 
 class TestToeplitzLetters:
     def test_frozen_positions(self):
-        model = ToeplitzModel(ToeplitzSpec(r=2))
+        model = ToeplitzModel(r=2)
         assert model.letter(0) == 1
         assert model.letter(1) == 2
         assert model.letter(4) == 1
@@ -115,7 +115,7 @@ class TestToeplitzLetters:
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_against_construction_oracle(self, r):
-        model = ToeplitzModel(ToeplitzSpec(r=r))
+        model = ToeplitzModel(r=r)
         p3 = 81
         oracle = brute_force_filling(r, -p3, p3)
         assert len(oracle) == 2 * p3  # every position is filled by step 6
@@ -264,10 +264,16 @@ class TestWindowExpansion:
         assert str(exc.value) == _per_letter(model, 0, 5)
 
     def test_no_per_position_state(self):
-        for model in (SubstitutionModel.standard(), ToeplitzModel.of_rank(3)):
+        """A model keeps nothing between calls: after use it holds only its
+        record fields and equals a fresh one."""
+        for make in (SubstitutionModel.standard, lambda: ToeplitzModel.of_rank(3)):
+            model = make()
             assert len(window(model, 0, 10**5)) == 10**5
-            sizes = [len(v) for v in vars(model).values() if hasattr(v, "__len__")]
-            assert max(sizes) <= 49  # per-level state only: max_depth + 1
+            block_type_counts(model, 0, 40, 1)
+            transition_matrix(model, 5)
+            ergodic_measure_count(model)
+            assert tuple(vars(model)) == type(model).__match_args__
+            assert model == make()
 
 
 class TestBlockLabels:
