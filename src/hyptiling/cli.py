@@ -42,13 +42,12 @@ from .symbolic import (
     DEFAULT_MATERIALIZE_LIMIT,
     SubstitutionModel,
     ToeplitzModel,
+    _size_text,
     atlas_words,
     window,
     word_to_str,
 )
 from .verification import run_all
-
-_UNSET = object()
 
 
 class _CliUsage(Exception):
@@ -134,6 +133,10 @@ def _write_text(text, out_path):
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
+#: Letters all the words of one `atlas` run may hold together; the two
+#: level-12 words of the standard substitution, 1,062,882 letters, fit.
+_ATLAS_LETTERS = 2 * DEFAULT_MATERIALIZE_LIMIT
+
 
 @_sub("gen", _model_opts() + [
     Opt("--from", dest="start", type=int, required=True, help="window start"),
@@ -163,6 +166,11 @@ def _cmd_atlas(ns) -> int:
     if ns.letter is not None:
         letters = (ns.letter,)
     else:
+        total = model.r * level.length
+        if total > _ATLAS_LETTERS:
+            raise SizeError(f"the level-{ns.level} words hold {_size_text(total)} "
+                            f"letters together, over the cap {_ATLAS_LETTERS}; "
+                            "pick one word with --letter")
         letters = tuple(range(1, model.r + 1))
     words = {
         str(i): word_to_str(level.word(i, ns.max_letters), model.r)
@@ -401,20 +409,13 @@ def _build_parser():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", default=None,
                          help="key=value file with defaults")
-        for opt in opts:
-            kwargs = {"dest": opt.dest, "default": _UNSET, "help": opt.help}
-            if opt.action == "store_true":
-                kwargs["action"] = "store_true"
-            elif opt.action == "append":
-                kwargs["action"] = "append"
-                kwargs["type"] = opt.type
-                kwargs["default"] = None  # append cannot start from a sentinel
-            else:
-                kwargs["type"] = opt.type
-                if opt.choices:
-                    kwargs["choices"] = opt.choices
-                if opt.nargs:
-                    kwargs["nargs"] = opt.nargs
+        for opt in opts:  # an option not given stays absent from the namespace
+            kwargs = {"dest": opt.dest, "default": argparse.SUPPRESS,
+                      "help": opt.help}
+            if opt.action:
+                kwargs["action"] = opt.action
+            if opt.action != "store_true":
+                kwargs.update(type=opt.type, choices=opt.choices, nargs=opt.nargs)
             sub.add_argument(opt.flag, **kwargs)
     return parser
 
@@ -469,12 +470,6 @@ def _parse_config_value(opt: Opt, raw: str):
     return value
 
 
-def _unset(opt: Opt, value) -> bool:
-    if opt.action == "append":
-        return value is None
-    return value is _UNSET
-
-
 def _merge(ns, opts, config: dict):
     by_key = {}
     for opt in opts:
@@ -484,10 +479,10 @@ def _merge(ns, opts, config: dict):
         opt = by_key.get(key)
         if opt is None:
             raise _CliUsage(f"unknown config key {key!r}")
-        if _unset(opt, getattr(ns, opt.dest)):
+        if not hasattr(ns, opt.dest):
             setattr(ns, opt.dest, _parse_config_value(opt, raw))
     for opt in opts:
-        if _unset(opt, getattr(ns, opt.dest)):
+        if not hasattr(ns, opt.dest):
             if opt.required:
                 raise _CliUsage(f"missing required option {opt.flag}")
             setattr(ns, opt.dest, opt.default)

@@ -570,19 +570,19 @@ def expected_block_fractions(model_like, q: int) -> tuple:
         f"block fractions did not settle within {_FRACTIONS_MAX_LEVEL} levels")
 
 
-def garnett_compare(config: DiffusionConfig, q: int = 0,
-                    scheme: str = TRIANGLE, results=None) -> dict:
-    """Empirical time fractions per level-q block label, with expectations.
+def garnett_compare(config: DiffusionConfig, results, q: int = 0,
+                    scheme: str = TRIANGLE) -> dict:
+    """Empirical time fractions per level-q block label of the paths in
+    results, simulated under config, with expectations.
 
     Per-path fractions give a plain Monte Carlo band of 1.96 * sd / sqrt(P).
-    When the measure count is not one there is no single expected vector and
-    the comparison columns are left empty with an explanatory note.
+    When the measure count is not one, or the model's cap stops the count or
+    the expected fractions, there is no expected vector and the comparison
+    columns are left empty with an explanatory note.
     """
     import numpy as np
 
     model = config.model
-    if results is None:
-        results = run_paths(config)
     complete = [r for r in results if not r.partial]
     if not complete:
         rows = sorted({r.stop_row for r in results})
@@ -614,7 +614,10 @@ def garnett_compare(config: DiffusionConfig, q: int = 0,
     note = ""
     expected = None
     if unique:
-        expected = list(expected_block_fractions(model, q))
+        try:
+            expected = list(expected_block_fractions(model, q))
+        except CapError as err:  # level-q fractions need deeper levels
+            note = f"no expected fractions ({err})"
     elif not certified:
         note = f"measure count not certified{why}; no expected fractions"
     else:

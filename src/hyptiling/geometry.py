@@ -158,8 +158,11 @@ class OccurrenceClass:
     count: int
 
 
-def occurrence_classes(model_like, q: int, parent_letter: int,
-                       max_classes: int = 1 << 20) -> tuple:
+#: Occurrence classes one call may list: one per block of the parent word.
+MAX_CLASSES = 1 << 20
+
+
+def occurrence_classes(model_like, q: int, parent_letter: int) -> tuple:
     """Placements of level-q patches inside the level-(q+1) patch of a parent.
 
     One class per block of the parent word's decomposition: block m sits at
@@ -169,9 +172,9 @@ def occurrence_classes(model_like, q: int, parent_letter: int,
     if q < 0:
         raise DomainError(f"level must be >= 0, got {q}")
     blocks = model.branching(q)
-    if blocks > max_classes:
+    if blocks > MAX_CLASSES:
         raise SizeError(
-            f"{blocks} occurrence classes exceed the cap {max_classes}"
+            f"{blocks} occurrence classes exceed the cap {MAX_CLASSES}"
         )
     length = model.level_length(q)
     classes = []

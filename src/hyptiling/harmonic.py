@@ -54,10 +54,12 @@ def herglotz_evaluate(measure: BoundaryAtoms, x: float, y: float) -> float:
 
 #: Pieces the adaptive quadrature may cut its interval into.
 _MAX_PIECES = 200
+#: Relative error the adaptive quadrature accepts.
+REL_TOL = 1e-8
 
 
 def boundary_recover(func, a: float, b: float, y_probe: float = 1e-4,
-                     breakpoints=None, rel_tol: float = 1e-8) -> float:
+                     breakpoints=None) -> float:
     """Mass the boundary measure gives the open interval (a, b).
 
     Integrates func(x, y_probe) dx over [a, b] and divides by pi; as the
@@ -68,7 +70,7 @@ def boundary_recover(func, a: float, b: float, y_probe: float = 1e-4,
     The integral is adaptive Gauss-Kronrod (7, 15) quadrature: the interval
     is cut at the breakpoints, then the piece with the largest error
     estimate is bisected until the summed estimate abserr meets
-    abserr <= rel_tol * max(|value|, 1), or QuadratureError is raised once
+    abserr <= REL_TOL * max(|value|, 1), or QuadratureError is raised once
     there are _MAX_PIECES pieces.
 
     func must be smooth on each piece between the breakpoints.  The rule
@@ -94,13 +96,13 @@ def boundary_recover(func, a: float, b: float, y_probe: float = 1e-4,
     while True:
         value = math.fsum(entry[3] for entry in heap)
         abserr = -math.fsum(entry[0] for entry in heap)
-        if abserr <= rel_tol * max(abs(value), 1.0) or len(heap) >= _MAX_PIECES:
+        if abserr <= REL_TOL * max(abs(value), 1.0) or len(heap) >= _MAX_PIECES:
             break
         _, lo, hi, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         heapq.heappush(heap, piece(lo, mid))
         heapq.heappush(heap, piece(mid, hi))
-    if not math.isfinite(value) or abserr > rel_tol * max(abs(value), 1.0):
+    if not math.isfinite(value) or abserr > REL_TOL * max(abs(value), 1.0):
         raise QuadratureError(
             f"quadrature error {abserr} too large for value {value}",
             residual=abserr,

@@ -37,7 +37,7 @@ PAPER = "paper"
 SCHEMES = (TRIANGLE, PAPER)
 
 #: Entries above this many bits abort deep compositions instead of thrashing.
-DEFAULT_BIT_BUDGET = 10**6
+BIT_BUDGET = 10**6
 
 
 def _require_scheme(scheme: str):
@@ -148,12 +148,12 @@ def _prefix_products(model, scheme: str, q_from: int, q_to: int):
                                   shift=shift)
 
 
-def compose_range(model_like, scheme: str, q_from: int, q_to: int,
-                  bit_budget: int = DEFAULT_BIT_BUDGET) -> TransitionMatrix:
+def compose_range(model_like, scheme: str, q_from: int,
+                  q_to: int) -> TransitionMatrix:
     """Exact product of the level matrices q_from .. q_to-1, left to right.
 
     An empty range gives the identity.  Aborts with a budget error once any
-    reduced entry outgrows bit_budget bits.
+    reduced entry outgrows BIT_BUDGET bits.
     """
     _require_scheme(scheme)
     model = as_model(model_like)
@@ -163,10 +163,10 @@ def compose_range(model_like, scheme: str, q_from: int, q_to: int,
                      for i in range(model.r))
     product = TransitionMatrix(level=q_from, scheme=scheme, ints=identity)
     for q, product in _prefix_products(model, scheme, q_from, q_to):
-        if product.entry_bits() > bit_budget:
+        if product.entry_bits() > BIT_BUDGET:
             raise BudgetError(
                 f"composition through level {q} exceeds the "
-                f"{bit_budget}-bit entry budget"
+                f"{BIT_BUDGET}-bit entry budget"
             )
     return product
 
@@ -192,13 +192,12 @@ def _vertex(ray) -> tuple:
     return tuple(Fraction(x, total) for x in ray)
 
 
-def nested_simplex(model_like, scheme: str, n: int, m: int,
-                   bit_budget: int = DEFAULT_BIT_BUDGET) -> SimplexVertices:
+def nested_simplex(model_like, scheme: str, n: int, m: int) -> SimplexVertices:
     """Vertices of the depth-m simplex seen at level n: normalized columns
     of the exact product of matrices n .. m-1."""
     if m < n:
         raise DomainError(f"depth {m} below base level {n}")
-    product = compose_range(model_like, scheme, n, m, bit_budget)
+    product = compose_range(model_like, scheme, n, m)
     return SimplexVertices(
         base_level=n,
         depth=m,
@@ -388,29 +387,28 @@ def _cluster_rays(rays, tol: float) -> tuple:
 
 
 def ergodic_measure_count(model_like, scheme: str = TRIANGLE,
-                          tolerance: float = 1e-6, max_depth: int = 36,
-                          base_level: int = 1,
-                          bit_budget: int = DEFAULT_BIT_BUDGET) -> ErgodicCount:
+                          tolerance: float = 1e-6,
+                          max_depth: int = 36) -> ErgodicCount:
     """Count the extreme invariant masses by deepening the nested simplex.
 
     Vertices at depth m are the normalized columns of the exact product of
-    level matrices base_level .. m-1.  The count is certified once two
+    level matrices 1 .. m-1.  The count is certified once two
     consecutive depths produce the same cluster count with every matched
     vertex within the tolerance; otherwise the result is inconclusive.
     """
     _require_scheme(scheme)
     model = as_model(model_like)
-    if max_depth < base_level + 2:
+    if max_depth < 3:
         raise DomainError("max_depth leaves no room for a consecutive-depth pair")
 
-    products = _prefix_products(model, scheme, base_level, max_depth)
+    products = _prefix_products(model, scheme, 1, max_depth)
     prev = tuple(zip(*next(products)[1].ints))
     prev_clusters = _cluster_rays(prev, tolerance)
-    note, depth, moved = "", base_level + 1, math.inf
+    note, depth, moved = "", 2, math.inf
     try:
         for q, product in products:
-            if product.entry_bits() > bit_budget:
-                note = f"entry growth passed the {bit_budget}-bit budget at depth {q + 1}"
+            if product.entry_bits() > BIT_BUDGET:
+                note = f"entry growth passed the {BIT_BUDGET}-bit budget at depth {q + 1}"
                 break
             cur = tuple(zip(*product.ints))
             cur_clusters = _cluster_rays(cur, tolerance)
@@ -427,7 +425,7 @@ def ergodic_measure_count(model_like, scheme: str = TRIANGLE,
     return ErgodicCount(
         count=len(prev_clusters),
         status="stabilized" if stabilized else "inconclusive",
-        base_level=base_level,
+        base_level=1,
         depth=depth,
         tolerance=tolerance,
         max_matched_distance=moved if stabilized else math.inf,
@@ -555,17 +553,16 @@ class FrequencyResult:
 
 
 def measure_frequencies(model_like, scheme: str, measure_index: int,
-                        q: int, stabilization: ErgodicCount = None) -> FrequencyResult:
+                        q: int, stabilization: ErgodicCount) -> FrequencyResult:
     """Letter frequencies of one extreme measure, at finite depth q.
 
     The measure indexed by a stabilized cluster is anchored at that cluster's
     lowest column letter; its depth-q frequency vector is the letter-count
     vector of the level-q word with that label, divided by the word length.
     Exact rationals; the reported level is the depth of the estimate.
+    scheme names the matrices the count was made with and is not read.
     """
     model = as_model(model_like)
-    if stabilization is None:
-        stabilization = ergodic_measure_count(model, scheme)
     if stabilization.status != "stabilized":
         raise InconclusiveError(
             "measure frequencies need a stabilized ergodic count; "

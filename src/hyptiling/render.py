@@ -37,12 +37,6 @@ DEFAULT_PALETTE = (
 UNCOLORED = "#d4d4d4"
 OVERLAY_STROKES = ("#1a1a1a", "#b10026", "#08306b", "#54278f")
 
-# ElementTree's attribute escapes, plus a doubled % for the row template.
-_FILL_ESCAPES = str.maketrans({
-    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
-    "\r": "&#13;", "\n": "&#10;", "\t": "&#09;", "%": "%%",
-})
-
 
 def _arc_points(xa: float, xb: float, y: float, tol_world: float) -> tuple:
     """Flatten the geodesic from (xa, y) to (xb, y) by bisection.
@@ -85,7 +79,7 @@ def _row_outline(width: float, tol_world: float) -> list:
 
 def _row_paths(width, points, n_lo, n_hi, fill, x_min, y_hi, scale):
     """The path elements of tiles n_lo..n_hi-1 of the row of this width and
-    outline; fill comes escaped for the format template."""
+    outline, in a fill color that needs no escaping."""
     d = " L".join(f"%.4f,{(y_hi - y) * scale:.4f}" for _, _, y in points)
     template = f'<path fill-opacity="0.75" d="M{d} Z" fill="{fill}" />'
     offsets = [(c, dx) for c, dx, _ in points]
@@ -96,7 +90,7 @@ def _row_paths(width, points, n_lo, n_hi, fill, x_min, y_hi, scale):
 
 
 def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
-               tol: float = 1e-3, palette=None, width_px: float = 800.0,
+               tol: float = 1e-3, width_px: float = 800.0,
                y_clip=None) -> int:
     """Write an SVG of the tiles in the given row band and x-window.
 
@@ -114,7 +108,6 @@ def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
     if not (0 < width_px < math.inf):
         raise DomainError(f"image width {width_px} must be positive and finite")
     model = as_model(model_like) if model_like is not None else None
-    colors = tuple(palette) if palette else DEFAULT_PALETTE
 
     has_rows = row_hi >= row_lo
     y_lo = math.ldexp(1.0, row_lo) if has_rows else 0.0
@@ -153,10 +146,10 @@ def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
         fill = UNCOLORED
         if model is not None:
             try:
-                fill = colors[(model.letter(row) - 1) % len(colors)]
+                fill = DEFAULT_PALETTE[(model.letter(row) - 1) % len(DEFAULT_PALETTE)]
             except CapError:
                 pass
-        bands.append((width, outline, n_lo, n_hi, fill.translate(_FILL_ESCAPES)))
+        bands.append((width, outline, n_lo, n_hi, fill))
     levels = []  # (q, [(width, n_lo, n_hi) of each apex row]) per level
     boxes = 0
     for q in map(int, overlay_levels):
@@ -176,8 +169,7 @@ def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
             )
 
     size = f'width="{width_px:.2f}" height="{max(height_px, 1.0):.2f}"'
-    with open(out_path, "w", encoding="utf-8",
-              errors="xmlcharrefreplace") as out:
+    with open(out_path, "w", encoding="utf-8") as out:
         out.write("<?xml version='1.0' encoding='utf-8'?>\n"
                   f'<svg xmlns="http://www.w3.org/2000/svg" {size} viewBox="0 0 '
                   f'{width_px:.2f} {max(height_px, 1.0):.2f}">'

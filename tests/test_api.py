@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -58,6 +59,37 @@ def test_deleted_methods_and_fields_are_gone():
     for name in ("log_fraction", "log2_fraction", "floor_log2_fraction",
                  "ExactLike"):
         assert not hasattr(hyptiling.exact, name)
+
+
+def test_knobs_only_tests_turned_are_constants():
+    """Parameters that no command, check or benchmark sets to a second value
+    are module constants, and the two functions that could recompute their
+    input take it from the caller."""
+    from hyptiling import cli, geometry, harmonic, measures, render, verification
+
+    removed = {
+        hyptiling.compose_range: ("bit_budget",),
+        hyptiling.nested_simplex: ("bit_budget",),
+        hyptiling.ergodic_measure_count: ("bit_budget", "base_level"),
+        hyptiling.occurrence_classes: ("max_classes",),
+        hyptiling.boundary_recover: ("rel_tol",),
+        hyptiling.render_svg: ("palette",),
+        verification.check_height_law: ("seed",),
+        verification.check_mode_agreement: ("seed",),
+    }
+    for func, names in removed.items():
+        assert not set(names) & set(inspect.signature(func).parameters), func
+    for func, name in ((hyptiling.garnett_compare, "results"),
+                       (hyptiling.measure_frequencies, "stabilization")):
+        param = inspect.signature(func).parameters[name]
+        assert param.default is inspect.Parameter.empty, func
+    assert (measures.BIT_BUDGET, geometry.MAX_CLASSES, harmonic.REL_TOL,
+            verification._SEED) == (10**6, 2**20, 1e-8, 2024)
+    for module, name in ((cli, "_UNSET"), (cli, "_unset"),
+                         (render, "_FILL_ESCAPES"),
+                         (verification, "_RECOVERY_RTOL"),
+                         (measures, "DEFAULT_BIT_BUDGET")):
+        assert not hasattr(module, name), name
 
 
 def test_every_class_is_an_error_or_a_frozen_record():

@@ -157,6 +157,16 @@ class TestAtlas:
         assert code == 5
         assert_short_error(out, err)
 
+    def test_all_words_cap_exits_before_any_word(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("hyptiling.symbolic._expand",
+                            lambda *args: calls.append(args))
+        code, out, err = run(["atlas", "--model", "toeplitz", "--r", "1000000",
+                              "--level", "1"])
+        assert code == 5
+        assert_short_error(out, err)
+        assert "3000000 letters" in err and calls == []
+
     def test_one_letter_memory_does_not_grow_with_r(self):
         argv = ["atlas", "--model", "toeplitz", "--r", "100000", "--level", "1",
                 "--letter", "1"]
@@ -447,6 +457,21 @@ class TestDiffuse:
             "measure count not certified (period index 4 exceeds max_depth 3); "
             "no expected fractions")
         assert [row["expected"] for row in occupancy["labels"]] == [None] * 3
+
+    def test_capped_expected_fractions_keep_the_paths(self):
+        # one letter is one measure, but the level-2 fractions need period
+        # index 4, past max_depth 3
+        code, payload = run_json(
+            ["diffuse", "--model", "toeplitz", "--r", "1", "--max-depth", "3",
+             "--paths", "3", "--horizon", "5", "--level", "2"]
+        )
+        assert code == 0
+        occupancy = payload["occupancy"]
+        assert occupancy["complete_paths"] == 3
+        assert occupancy["unique_measure"] is True
+        assert occupancy["note"] == (
+            "no expected fractions (period index 4 exceeds max_depth 3)")
+        assert [row["expected"] for row in occupancy["labels"]] == [None]
 
     @pytest.mark.parametrize("flags, text", [
         (["--horizon", "1", "--dt", "1e-300"],

@@ -442,7 +442,7 @@ class TestExpectedFractions:
 class TestGarnettCompare:
     def test_unique_measure_comparison(self):
         cfg = DiffusionConfig(SUB, dt=1e-2, horizon=50.0, paths=10, seed=1)
-        table = garnett_compare(cfg, q=0)
+        table = garnett_compare(cfg, run_paths(cfg), q=0)
         assert table["unique_measure"] is True
         assert table["complete_paths"] == 10
         assert table["note"] == ""
@@ -455,14 +455,14 @@ class TestGarnettCompare:
 
     def test_level_one_blocks(self):
         cfg = DiffusionConfig(SUB, dt=1e-2, horizon=50.0, paths=10, seed=1)
-        table = garnett_compare(cfg, q=1)
+        table = garnett_compare(cfg, run_paths(cfg), q=1)
         assert table["level"] == 1
         assert len(table["labels"]) == 2
 
     def test_non_unique_measures_get_no_expectation(self):
         cfg = DiffusionConfig(ToeplitzModel.of_rank(2), dt=1e-2, horizon=5.0,
                               paths=5, seed=2)
-        table = garnett_compare(cfg, q=0)
+        table = garnett_compare(cfg, run_paths(cfg), q=0)
         assert table["unique_measure"] is False
         assert "non-uniquely-ergodic" in table["note"]
         assert all(row["expected"] is None for row in table["labels"])
@@ -471,13 +471,14 @@ class TestGarnettCompare:
         shallow = ToeplitzModel.of_rank(2, max_depth=1)
         cfg = DiffusionConfig(shallow, dt=1e-2, horizon=5.0, paths=5, seed=0)
         with pytest.raises(CapError):
-            garnett_compare(cfg, q=0)
+            garnett_compare(cfg, run_paths(cfg), q=0)
 
     def test_zero_horizon_is_a_domain_error(self):
         cfg = DiffusionConfig(SUB, horizon=0.0, paths=31, seed=2)
-        assert all(not r.partial and r.n_steps == 0 for r in run_paths(cfg))
+        results = run_paths(cfg)
+        assert all(not r.partial and r.n_steps == 0 for r in results)
         with pytest.raises(DomainError, match="no complete path took a step"):
-            garnett_compare(cfg, q=0)
+            garnett_compare(cfg, results, q=0)
 
     def test_precomputed_results_accepted(self):
         cfg = DiffusionConfig(SUB, dt=1e-2, horizon=20.0, paths=8, seed=6)

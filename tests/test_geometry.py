@@ -222,8 +222,8 @@ class TestOccurrences:
 
     def test_class_cap(self):
         t2 = ToeplitzModel.of_rank(2)
-        with pytest.raises(SizeError):
-            occurrence_classes(t2, 3, 1, max_classes=10)
+        with pytest.raises(SizeError, match=f"the cap {2**20}"):
+            occurrence_classes(t2, 13, 1)  # 3**13 classes
 
 
 class TestPartition:

@@ -25,6 +25,7 @@ from hyptiling import (
     transport_scaling_check,
 )
 from hyptiling.exact import log_ratio, scalar_to_json
+from hyptiling.harmonic import REL_TOL
 
 
 def cylinder_mass(coefficient, rect) -> float:
@@ -308,12 +309,12 @@ def test_checks_leave_scipy_unloaded():
 @pytest.mark.parametrize("offset,passed", [(0.5, True), (2.0, False)])
 def test_verify_check_holds_quadrature_to_its_rule(monkeypatch, offset, passed):
     """The boundary-recovery check of `verify` fails once the quadrature
-    strays from the closed form by more than rel_tol * max(|value|, 1) / pi."""
+    strays from the closed form by more than REL_TOL * max(|value|, 1) / pi."""
     from hyptiling import verification
 
     def shifted(*args, **kwargs):
         value = boundary_recover(*args, **kwargs)
-        scale = verification._RECOVERY_RTOL * max(abs(value) * math.pi, 1.0)
+        scale = REL_TOL * max(abs(value) * math.pi, 1.0)
         return value + offset * scale / math.pi
 
     monkeypatch.setattr(verification, "boundary_recover", shifted)

@@ -36,6 +36,7 @@ from hyptiling import (
     projective_distance,
     transition_matrix,
 )
+from hyptiling import measures
 from hyptiling.exact import reduce_dyadic
 from oracles import hilbert_distance_segment
 
@@ -155,9 +156,10 @@ class TestComposition:
         with pytest.raises(DomainError):
             compose_range(SUB, TRIANGLE, 3, 1)
 
-    def test_bit_budget(self):
+    def test_bit_budget(self, monkeypatch):
+        monkeypatch.setattr(measures, "BIT_BUDGET", 64)
         with pytest.raises(BudgetError):
-            compose_range(T2, TRIANGLE, 1, 12, bit_budget=64)
+            compose_range(T2, TRIANGLE, 1, 12)
 
     def test_matches_repeated_multiplication(self):
         prod = [[1, 0], [0, 1]]
@@ -397,7 +399,8 @@ class TestMassConservation:
 
 class TestFrequencies:
     def test_substitution_level_two(self):
-        result = measure_frequencies(SUB, TRIANGLE, 0, 2)
+        result = measure_frequencies(SUB, TRIANGLE, 0, 2,
+                                     ergodic_measure_count(SUB))
         assert result.frequencies == (Fraction(5, 9), Fraction(4, 9))
         assert result.anchor_letter == 1
 
@@ -559,8 +562,10 @@ class TestIntegerRepresentation:
     @settings(max_examples=120, deadline=None)
     def test_compose_matches_fraction_product(self, case, budget):
         model, scheme, q_from, q_to = case
-        got = outcome(
-            lambda: compose_range(model, scheme, q_from, q_to, budget).rows)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures, "BIT_BUDGET", budget)
+            got = outcome(
+                lambda: compose_range(model, scheme, q_from, q_to).rows)
         want = outcome(
             lambda: fraction_compose(model, scheme, q_from, q_to, budget))
         assert got == want
@@ -582,8 +587,9 @@ class TestIntegerRepresentation:
         model = MODELS[name]
         if scheme == PAPER and name != "sub":
             scheme = TRIANGLE
-        got = ergodic_measure_count(model, scheme, max_depth=max_depth,
-                                    bit_budget=budget)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures, "BIT_BUDGET", budget)
+            got = ergodic_measure_count(model, scheme, max_depth=max_depth)
         want = fraction_ergodic(model, scheme, max_depth=max_depth,
                                 budget=budget)
         assert ergodic_tuple(got) == want
@@ -632,10 +638,11 @@ class TestIntegerRepresentation:
         (SUB, PAPER, 1, 8, 1000, 6),
         (ToeplitzModel.of_rank(8), TRIANGLE, 0, 47, 300, 19),
     ], ids=["t2", "sub-triangle", "sub-paper", "t8"])
-    def test_budget_error_level(self, model, scheme, q_from, q_to, budget,
-                                level):
+    def test_budget_error_level(self, monkeypatch, model, scheme, q_from, q_to,
+                                budget, level):
+        monkeypatch.setattr(measures, "BIT_BUDGET", budget)
         with pytest.raises(BudgetError, match=f"through level {level} exceeds"):
-            compose_range(model, scheme, q_from, q_to, bit_budget=budget)
+            compose_range(model, scheme, q_from, q_to)
 
     def test_view_is_cached(self):
         m = compose_range(SUB, PAPER, 1, 3)

@@ -173,12 +173,6 @@ class TestColoring:
         # letters 1, 1, 2 on rows 0..2: exactly two distinct colors
         assert len(fills) == 2
 
-    def test_custom_palette(self, tmp_path):
-        out = tmp_path / "custom.svg"
-        render_svg(SUB, (0, 0), (0.0, 1.0), str(out),
-                   palette=("#ff0000", "#00ff00"))
-        assert svg_paths(out)[0].get("fill") == "#ff0000"  # letter(0) = 1
-
     def test_no_model_renders_uncolored(self, tmp_path):
         out = tmp_path / "plain.svg"
         assert render_svg(None, (0, 1), (0.0, 2.0), str(out)) == 3
@@ -289,9 +283,6 @@ class TestByteIdentity:
                      "c83a8985cfbada08146ccafc9e147e8a4908b9a7ecdc9502ecfdec207c903466"),
         "empty_group": ((SUB, (0, 0), (0.0, 4.0)), {"y_clip": (5.0, 6.0)},
                         "0449be2c3d07e97c81b5ebb4c3f29e774a5d10f7c1f03a20bf4906d0369ad628"),
-        "palette": ((SUB, (-1, 3), (0.0, 8.0)),
-                    {"palette": ("#ff0000", '<a&b c="d">\t\n%s{}')},
-                    "4d658623726ee930ebd65afdb9ceb13f55ef21d424feb923428115a5eeadc2d1"),
         "inverted": ((SUB, (2, 0), (0.0, 4.0)), {"overlay_levels": (1,)},
                      "fd63ac01e5b319310b50a6c18532f51607d95029fcacd8a4992aa916fb38e5b0"),
     }

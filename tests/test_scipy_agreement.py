@@ -25,6 +25,7 @@ from hyptiling import (
     run_paths,
 )
 from hyptiling.diffusion import _kolmogorov_sf
+from hyptiling.harmonic import REL_TOL
 
 KS_RTOL = 1e-9
 # 2 exp(-740) and below are subnormal: relative precision is gone there.
@@ -129,7 +130,6 @@ def test_boundary_recover_on_random_atom_measures():
     rule of the closed form, and it never gives up where scipy's quad met
     the same rule."""
     rng = random.Random(20240607)
-    rel_tol = 1e-8
     for _ in range(2000):
         atoms = tuple((rng.uniform(-0.5, 1.5), rng.uniform(0.1, 5.0))
                       for _ in range(rng.randint(1, 4)))
@@ -141,14 +141,14 @@ def test_boundary_recover_on_random_atom_measures():
         want = atoms_interval_mass(measure, 0.0, 1.0, y)
         try:
             got = boundary_recover(func, 0.0, 1.0, y_probe=y,
-                                   breakpoints=breaks, rel_tol=rel_tol)
+                                   breakpoints=breaks)
         except QuadratureError:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 value, abserr = integrate.quad(
                     func, 0.0, 1.0, args=(y,), limit=200,
                     points=[s for s in breaks if 0.0 < s < 1.0] or None)
-            assert abserr > rel_tol * max(abs(value), 1.0), (measure, y)
+            assert abserr > REL_TOL * max(abs(value), 1.0), (measure, y)
             continue
-        scale = rel_tol * max(abs(want) * math.pi, 1.0) / math.pi
+        scale = REL_TOL * max(abs(want) * math.pi, 1.0) / math.pi
         assert abs(got - want) <= scale, (measure, y, got, want)
