@@ -371,13 +371,12 @@ def _cmd_render(ns) -> int:
 
 
 @_sub("verify", [
-    Opt("--full", action="store_true", help="run the extended level ranges"),
     Opt("--json", dest="as_json", action="store_true",
         help="machine-readable output"),
     _OUT,
 ], "run the internal cross-checks; nonzero exit if any fails")
 def _cmd_verify(ns) -> int:
-    checks = run_all(quick=not ns.full)
+    checks = run_all()
     ok = all(c.passed for c in checks)
     if ns.as_json:
         _emit(

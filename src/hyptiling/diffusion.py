@@ -23,11 +23,11 @@ each row crossing.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import chain
 
 from .errors import CapError, DomainError, SizeError
-from .measures import TRIANGLE, _prefix_products, ergodic_measure_count
+from .measures import (TRIANGLE, SimplexVertices, ergodic_measure_count,
+                       hull_membership, transition_matrix)
 from .record import record
 from .symbolic import _size_text, as_model, block_labels
 
@@ -540,34 +540,21 @@ def _pelz_good_cdf(n: int, d: float) -> float:
 # Occupancy versus predicted frequencies
 
 
-#: expected_block_fractions stops once a level moves the fractions less than
-#: this in sup norm, and gives up past the last level.
-_FRACTIONS_TOL = 1e-10
-_FRACTIONS_MAX_LEVEL = 80
-
-
 def expected_block_fractions(model_like, q: int) -> tuple:
-    """Limit fractions of level-q block labels, when a single limit exists.
+    """Fractions of the level-q block labels under the model's invariant
+    measure, when it is unique and the level matrices repeat from q on.
 
-    Deepens the exact per-label block counts inside one level-Q word until
-    the normalized vector stops moving; valid only under a unique measure.
-    Column 0 of the triangle product of levels q .. Q-1 holds those counts
-    for the level-Q word with label 1.
+    They are then the fixed vector T v = b v, sum(v) = 1, of the level-q
+    triangle matrix T with b = model.branching(q): the exact barycentric
+    coordinates of the origin in the columns of T - b I, rounded once.
     """
     model = as_model(model_like)
-    prev = None
-    for _, product in _prefix_products(model, TRIANGLE, q, _FRACTIONS_MAX_LEVEL):
-        counts = [row[0] for row in product.ints]
-        total = sum(counts)
-        cur = tuple(Fraction(c, total) for c in counts)
-        cur_f = tuple(float(x) for x in cur)
-        if prev is not None and max(
-            abs(a - b) for a, b in zip(prev, cur_f)
-        ) < _FRACTIONS_TOL:
-            return cur_f
-        prev = cur_f
-    raise DomainError(
-        f"block fractions did not settle within {_FRACTIONS_MAX_LEVEL} levels")
+    b = model.branching(q)
+    columns = zip(*transition_matrix(model, q, TRIANGLE).ints)
+    shifted = SimplexVertices(q, q + 1, tuple(
+        tuple(x - b * (i == j) for i, x in enumerate(col))
+        for j, col in enumerate(columns)))
+    return tuple(float(x) for x in hull_membership(shifted, (0,) * model.r))
 
 
 def garnett_compare(config: DiffusionConfig, results, q: int = 0,
@@ -576,9 +563,9 @@ def garnett_compare(config: DiffusionConfig, results, q: int = 0,
     results, simulated under config, with expectations.
 
     Per-path fractions give a plain Monte Carlo band of 1.96 * sd / sqrt(P).
-    When the measure count is not one, or the model's cap stops the count or
-    the expected fractions, there is no expected vector and the comparison
-    columns are left empty with an explanatory note.
+    When the measure count is not one, or the model's cap stops the count,
+    there is no expected vector and the comparison columns are left empty
+    with an explanatory note.
     """
     import numpy as np
 
@@ -611,13 +598,9 @@ def garnett_compare(config: DiffusionConfig, results, q: int = 0,
     except CapError as err:  # the model's max_depth ends the walk first
         certified, why = False, f" ({err})"
     unique = certified and count.count == 1
-    note = ""
-    expected = None
+    expected, note = None, ""
     if unique:
-        try:
-            expected = list(expected_block_fractions(model, q))
-        except CapError as err:  # level-q fractions need deeper levels
-            note = f"no expected fractions ({err})"
+        expected = list(expected_block_fractions(model, q))
     elif not certified:
         note = f"measure count not certified{why}; no expected fractions"
     else:

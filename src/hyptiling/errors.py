@@ -4,9 +4,7 @@ Every error class carries the CLI exit code that the command dispatcher
 reports when the error escapes to the top level.
 """
 
-EXIT_OK = 0
 EXIT_FAILURE = 1
-EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_CAP = 4
 EXIT_BUDGET = 5

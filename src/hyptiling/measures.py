@@ -448,7 +448,8 @@ def hull_membership(outer: SimplexVertices, point) -> tuple:
     if len(vec) != r:
         raise DomainError("dimension mismatch")
     # Augmented system: columns are vertices, plus the affine constraint.
-    matrix = [[verts[j][i] for j in range(r)] + [vec[i]] for i in range(r)]
+    matrix = [[Fraction(verts[j][i]) for j in range(r)] + [vec[i]]
+              for i in range(r)]
     matrix.append([Fraction(1)] * r + [Fraction(1)])
     cols = r
     pivot_rows = []

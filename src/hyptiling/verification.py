@@ -45,7 +45,7 @@ def _models():
     )
 
 
-def check_counting_equivalence(levels=(0, 1, 2)) -> CheckResult:
+def check_counting_equivalence() -> CheckResult:
     """Matrix entries versus dilation-weighted occurrence tallies.
 
     Each occurrence class of depth d holds 2**d congruent placements of
@@ -53,7 +53,7 @@ def check_counting_equivalence(levels=(0, 1, 2)) -> CheckResult:
     exactly, and the class counts must add up to the patch tile budget.
     """
     for label, model in _models():
-        for q in levels:
+        for q in (0, 1, 2):
             matrix = transition_matrix(model, q, TRIANGLE)
             low = model.level_length(q)
             high = model.level_length(q + 1)
@@ -84,9 +84,9 @@ def check_counting_equivalence(levels=(0, 1, 2)) -> CheckResult:
     )
 
 
-def check_mass_conservation(levels=(0, 1, 2, 3)) -> CheckResult:
+def check_mass_conservation() -> CheckResult:
     for label, model in _models():
-        for q in levels:
+        for q in (0, 1, 2, 3):
             res = mass_conservation_check(model, TRIANGLE, q)
             if not res.conserved:
                 return CheckResult(
@@ -99,10 +99,10 @@ def check_mass_conservation(levels=(0, 1, 2, 3)) -> CheckResult:
     )
 
 
-def check_nesting(pairs=((1, 3), (1, 4), (2, 4))) -> CheckResult:
+def check_nesting() -> CheckResult:
     """Deeper simplices must sit inside shallower ones, exactly."""
     for label, model in _models():
-        for n, m in pairs:
+        for n, m in ((1, 3), (1, 4), (2, 4)):
             outer = nested_simplex(model, TRIANGLE, n, m)
             inner = nested_simplex(model, TRIANGLE, n, m + 1)
             if not hull_contains(outer, inner):
@@ -229,12 +229,12 @@ def check_boundary_recovery() -> CheckResult:
     )
 
 
-def run_all(quick: bool = True) -> list:
-    """Every check, in order; quick runs the shorter level arguments."""
+def run_all() -> list:
+    """Every check, in order."""
     return [
-        check_counting_equivalence((0, 1) if quick else (0, 1, 2)),
-        check_mass_conservation((0, 1, 2) if quick else (0, 1, 2, 3)),
-        check_nesting(((1, 3), (2, 4)) if quick else ((1, 3), (1, 4), (2, 4))),
+        check_counting_equivalence(),
+        check_mass_conservation(),
+        check_nesting(),
         check_contraction(),
         check_boundary_recovery(),
         check_height_law(),

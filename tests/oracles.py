@@ -4,8 +4,8 @@ Each one takes a different route from the library code it checks: the
 Hilbert distance through a chord's cross-ratio, level words by iterating a
 substitution letter by letter, single letters of an atlas word by a
 `child_at` walk down the levels, aligned windows block by block through
-`block_letter`, word strings parsed back to letters, and patch partitions
-tile by tile.
+`block_letter`, word strings parsed back to letters, patch partitions
+tile by tile, and the expected block fractions as a deepening limit.
 """
 
 import math
@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple
 
-from hyptiling import DomainError, Patch, SizeError, TileAddress
+from hyptiling import (DomainError, Patch, SizeError, TileAddress,
+                       transition_matrix)
 
 
 def hilbert_distance_segment(x, y) -> float:
@@ -154,3 +155,25 @@ def partition_by_tiles(apex_row: int, apex_cols: range, depth: int) -> dict:
         "outside": extra,
         "exact": doubled == 0 and missing == 0 and extra == 0,
     }
+
+
+def deepened_block_fractions(model, q: int) -> tuple:
+    """Limit fractions of the level-q block labels by deepening.
+
+    Column 0 of the triangle product of levels q .. Q-1 counts the level-q
+    blocks of each label inside the level-Q word with label 1; Q grows until
+    one more level moves the normalized column less than 1e-10 in sup norm,
+    and the walk gives up past level 80.
+    """
+    product, prev = None, None
+    for level in range(q, 80):
+        ints = transition_matrix(model, level).ints
+        product = ints if product is None else [
+            [sum(a * b for a, b in zip(row, col)) for col in zip(*ints)]
+            for row in product]
+        counts = [row[0] for row in product]
+        cur = tuple(float(Fraction(c, sum(counts))) for c in counts)
+        if prev is not None and max(abs(a - b) for a, b in zip(prev, cur)) < 1e-10:
+            return cur
+        prev = cur
+    raise DomainError("block fractions did not settle within 80 levels")

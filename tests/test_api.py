@@ -63,9 +63,10 @@ def test_deleted_methods_and_fields_are_gone():
 
 def test_knobs_only_tests_turned_are_constants():
     """Parameters that no command, check or benchmark sets to a second value
-    are module constants, and the two functions that could recompute their
-    input take it from the caller."""
-    from hyptiling import cli, geometry, harmonic, measures, render, verification
+    are module constants, the two functions that could recompute their input
+    take it from the caller, and `verify` runs one fixed set of ranges."""
+    from hyptiling import (cli, diffusion, errors, geometry, harmonic, measures,
+                           render, verification)
 
     removed = {
         hyptiling.compose_range: ("bit_budget",),
@@ -79,6 +80,10 @@ def test_knobs_only_tests_turned_are_constants():
     }
     for func, names in removed.items():
         assert not set(names) & set(inspect.signature(func).parameters), func
+    for func in (verification.run_all, verification.check_counting_equivalence,
+                 verification.check_mass_conservation,
+                 verification.check_nesting):
+        assert not inspect.signature(func).parameters, func
     for func, name in ((hyptiling.garnett_compare, "results"),
                        (hyptiling.measure_frequencies, "stabilization")):
         param = inspect.signature(func).parameters[name]
@@ -88,7 +93,10 @@ def test_knobs_only_tests_turned_are_constants():
     for module, name in ((cli, "_UNSET"), (cli, "_unset"),
                          (render, "_FILL_ESCAPES"),
                          (verification, "_RECOVERY_RTOL"),
-                         (measures, "DEFAULT_BIT_BUDGET")):
+                         (measures, "DEFAULT_BIT_BUDGET"),
+                         (diffusion, "_FRACTIONS_TOL"),
+                         (diffusion, "_FRACTIONS_MAX_LEVEL"),
+                         (errors, "EXIT_OK"), (errors, "EXIT_USAGE")):
         assert not hasattr(module, name), name
 
 
@@ -147,14 +155,6 @@ def test_no_orphaned_module_names(path):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(set(_module_names(tree)) - read) == []
-
-
-def test_verify_runs_the_same_checks_quick_and_full():
-    from hyptiling.verification import run_all
-
-    quick, full = run_all(quick=True), run_all(quick=False)
-    assert [c.name for c in quick] == [c.name for c in full]
-    assert all(c.passed for c in quick + full)
 
 
 @pytest.mark.parametrize("field", ["row_crossings", "row_steps", "trace"])

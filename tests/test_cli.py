@@ -182,8 +182,9 @@ class TestAtlas:
 
 
 class TestFrozenOutput:
-    """Stdout of large `atlas` and `gen` runs, byte for byte: SHA-256
-    digests recorded from the per-level tuple expansion."""
+    """Stdout of commands, byte for byte, as SHA-256 digests: large `atlas`
+    and `gen` runs recorded from the per-level tuple expansion, and a table
+    of every subcommand."""
 
     @pytest.mark.parametrize("argv, digest", [
         (["atlas", "--model", "substitution", "--level", "12"],
@@ -197,6 +198,85 @@ class TestFrozenOutput:
         code, out, _ = run(argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    #: SHA-256 of stdout and the exit code of the commands one pass of the
+    #: `cli` benchmark workload runs (bench/wl_cli.py, at seed 7717), of text
+    #: `verify`, and of `--help` for the program and each subcommand.
+    COMMANDS = [
+        (["gen", "--model", "substitution", "--from", "0", "--to", "10"], 0,
+         "fa58223016bcd8da897282f2fcfdae2ba428be464e3dc628b9ebf3ee373001fb"),
+        (["gen", "--model", "substitution", "--from", "-59109", "--to",
+          "40891"], 0,
+         "6fedf3216d9084e9fcf0e7d88efac35e800cfbfc5ba5b948ec702bbdc99042d2"),
+        (["atlas", "--model", "substitution", "--level", "12"], 0,
+         "cded58a05c85d5c2c6c7f6ab2b23376640c3c46989e24f4f2f93aca8bd5c3619"),
+        (["matrices", "--model", "substitution", "--level", "1", "--scheme",
+          "both"], 0,
+         "27751732314272c450b7c032cf6b761fac36b8a4dbc285c03e9dc5763d378aad"),
+        (["matrices", "--model", "substitution", "--scheme", "paper", "--from",
+          "1", "--to", "12"], 0,
+         "e4b1476542b95fa6c888d49e675d7746783b26eef0f8db63f759a7fa1e0c4b5f"),
+        (["measures", "--model", "toeplitz", "--r", "8"], 0,
+         "2498b277c21a4d82a32df76fff940b99f50b31fde9c9becf372a85a26808171b"),
+        (["certify", "--model", "substitution", "--scheme", "paper", "--from",
+          "1", "--to", "10"], 0,
+         "2c1e2749bbcf257c7d0ea0420a7e3786b79dcf1c5b8a3d662e30a51dae7ffdc1"),
+        (["frequencies", "--model", "substitution", "--level", "10",
+          "--format", "csv"], 0,
+         "962861d2f76491f248d6f4db8302e2c68ee6293ca4eb9192c29ca667db904c33"),
+        (["diffuse", "--model", "substitution", "--paths", "30", "--horizon",
+          "10", "--seed", "7717"], 0,
+         "1438e477d18be082e01e7cada1a97f2fa09d3aa0856bd714a53a790a57d849bd"),
+        (["diffuse", "--model", "substitution", "--paths", "2", "--horizon",
+          "10", "--mode", "full", "--seed", "7717"], 0,
+         "3f0c08b4597d750c3dcc46343ac9df92b7d8965ffb532fda6d65a97f4e26b145"),
+        (["render", "--model", "substitution", "--rows", "-10", "3", "--x",
+          "-8", "16", "--out", "render.svg"], 0,
+         "f05201d8f08643ede585df05bdc846a3b11d38274a7ec3179656782b2f2bc203"),
+        (["verify", "--json"], 0,
+         "93a43cf16debc7d7adfba6d4b8bc0ac4f963c8e8d1878b52d01a9af9b75f8fd8"),
+        (["verify"], 0,
+         "871c3f261e4caf5d38de11e17e2ff8be209d1c78c76b3429364cc6bbe372e263"),
+        (["--help"], 0,
+         "e76f79fb503600b8a2f796349962b35d2b44e326668ae39ac328242efa40fcbe"),
+        (["gen", "--help"], 0,
+         "68dcca295f0f53a85647705e8e92da0ff640d8faa7d2e12cf30e93e33c064edd"),
+        (["atlas", "--help"], 0,
+         "b7f979692fe7a5afa8a24589042d5df4d9b5379760986d5add273bd4e4a9d596"),
+        (["matrices", "--help"], 0,
+         "89744d66cd6f5f9f526b95a6455985f3686fe186b50d56170d3e752b31c2baab"),
+        (["measures", "--help"], 0,
+         "c5514b6acda0625b55fb2b6a3408ad8e22be639be94eeb1a1573b288bbb1ffa3"),
+        (["certify", "--help"], 0,
+         "03005e1e41967de48cd5087bbf0ad8653b034e9367fb5b526985f930b38ee72d"),
+        (["frequencies", "--help"], 0,
+         "327270fed0c6ae594558071acf95b0315c567e36253e4f8a27c754b5a5b02c99"),
+        (["diffuse", "--help"], 0,
+         "2627c3b8460f8dbf129c68f98d89d1ba7e7ba4bd8a53dd5a8fbfcb74f5daa803"),
+        (["render", "--help"], 0,
+         "734eb3c7f356b5a9c37bcbc27f1c665c14c55287e64acbae447f535025252e77"),
+        (["verify", "--help"], 0,
+         "0cc9505e16419ea0f085dc816d8d13b81ec53fedda3a840e6462357b3ce3edd0"),
+    ]
+    RENDER_SVG = (
+        "a327715c4fda63b524f34bf3c437b605feb94018cd6cbd861c8249b6e2a36999")
+
+    def test_command_digests(self, monkeypatch, tmp_path):
+        import numpy
+
+        monkeypatch.chdir(tmp_path)  # render writes render.svg here
+        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to
+        wrong = []
+        for argv, code, digest in self.COMMANDS:
+            got_code, out, _ = run(argv)
+            got = hashlib.sha256(out.encode()).hexdigest()
+            if (got_code, got) != (code, digest):
+                wrong.append(f"{' '.join(argv)}: exit {got_code}, {got}")
+        svg = hashlib.sha256((tmp_path / "render.svg").read_bytes()).hexdigest()
+        if svg != self.RENDER_SVG:
+            wrong.append(f"render.svg: {svg}")
+        assert not wrong, (f"numpy {numpy.__version__}: "
+                           + "; ".join(wrong))
 
 
 class TestMatrices:
@@ -459,8 +539,8 @@ class TestDiffuse:
         assert [row["expected"] for row in occupancy["labels"]] == [None] * 3
 
     def test_capped_expected_fractions_keep_the_paths(self):
-        # one letter is one measure, but the level-2 fractions need period
-        # index 4, past max_depth 3
+        # one letter is one measure; the level-2 fractions read level 2 only,
+        # inside max_depth 3
         code, payload = run_json(
             ["diffuse", "--model", "toeplitz", "--r", "1", "--max-depth", "3",
              "--paths", "3", "--horizon", "5", "--level", "2"]
@@ -469,9 +549,8 @@ class TestDiffuse:
         occupancy = payload["occupancy"]
         assert occupancy["complete_paths"] == 3
         assert occupancy["unique_measure"] is True
-        assert occupancy["note"] == (
-            "no expected fractions (period index 4 exceeds max_depth 3)")
-        assert [row["expected"] for row in occupancy["labels"]] == [None]
+        assert occupancy["note"] == ""
+        assert [row["expected"] for row in occupancy["labels"]] == [1.0]
 
     @pytest.mark.parametrize("flags, text", [
         (["--horizon", "1", "--dt", "1e-300"],
@@ -622,6 +701,13 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert len(lines) == 7
         assert all(line.startswith("[PASS]") for line in lines)
+
+    def test_one_fixed_run(self, tmp_path):
+        assert run(["verify", "--full"])[0] == 2
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("full = yes\n")
+        code, out, err = run(["verify", "--config", str(cfg)])
+        assert code == 2 and out == "" and "full" in err
 
 
 class TestDispatch:

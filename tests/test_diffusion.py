@@ -3,11 +3,10 @@ height law, occupancy comparisons."""
 
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyptiling import (
@@ -18,9 +17,10 @@ from hyptiling import (
     PathResult,
     SizeError,
     SubstitutionModel,
+    SubstitutionRule,
     ToeplitzModel,
-    block_type_counts,
     default_start,
+    ergodic_measure_count,
     garnett_compare,
     height_law_test,
     log_height_samples,
@@ -37,6 +37,7 @@ from hyptiling.diffusion import (
     _noise,
     expected_block_fractions,
 )
+from oracles import deepened_block_fractions
 
 SUB = SubstitutionModel.standard()
 
@@ -416,27 +417,38 @@ class TestHeightLaw:
             height_law_test(run_paths(cfg))
 
 
+#: Constant-length rules with the fixed-point property (image of 1 starts
+#: with 1, image of 2 ends with 2), over 2 or 3 letters.
+@st.composite
+def fixed_point_rules(draw):
+    r = draw(st.integers(2, 3))
+    length = draw(st.integers(2, 4))
+    images = [draw(st.lists(st.integers(1, r), min_size=length,
+                            max_size=length)) for _ in range(r)]
+    images[0][0], images[1][-1] = 1, 2
+    return SubstitutionRule(tuple(map(tuple, images)))
+
+
 class TestExpectedFractions:
     def test_substitution_letters_split_evenly(self):
-        for q in (0, 1):
-            fracs = expected_block_fractions(SUB, q)
-            assert fracs[0] == pytest.approx(0.5, abs=1e-6)
-            assert fracs[1] == pytest.approx(0.5, abs=1e-6)
-            assert sum(fracs) == pytest.approx(1.0, abs=1e-12)
+        for q in range(4):
+            assert expected_block_fractions(SUB, q) == (0.5, 0.5)
 
-    def test_fractions_are_the_block_counts_at_the_stopping_level(self):
-        for q in (0, 1):
-            fracs = expected_block_fractions(SUB, q)
-            # the first level Q whose fractions moved less than the tolerance
-            prev = None
-            for big in range(q + 1, diffusion._FRACTIONS_MAX_LEVEL + 1):
-                counts = block_type_counts(SUB, q, big, 1)
-                cur = tuple(float(Fraction(c, sum(counts))) for c in counts)
-                moved = max(abs(a - b) for a, b in zip(prev, cur)) if prev else 1
-                if moved < diffusion._FRACTIONS_TOL:
-                    break
-                prev = cur
-            assert fracs == cur
+    def test_one_letter_is_all_one_label(self):
+        one = ToeplitzModel.of_rank(1, max_depth=3)
+        for q in range(3):
+            assert expected_block_fractions(one, q) == (1.0,)
+
+    @given(rule=fixed_point_rules(), q=st.integers(0, 1))
+    @settings(max_examples=40, deadline=None)
+    def test_fixed_vector_is_the_deepened_limit(self, rule, q):
+        model = SubstitutionModel(rule)
+        count = ergodic_measure_count(model)
+        assume(count.status == "stabilized" and count.count == 1)
+        want = deepened_block_fractions(model, q)
+        got = expected_block_fractions(model, q)
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9
+        assert sum(got) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestGarnettCompare:

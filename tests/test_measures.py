@@ -16,6 +16,7 @@ from hyptiling import (
     DegeneracyError,
     DomainError,
     InconclusiveError,
+    SimplexVertices,
     SubstitutionModel,
     SubstitutionRule,
     ToeplitzModel,
@@ -364,6 +365,13 @@ class TestHulls:
         )
         coords = hull_membership(outer, mid)
         assert coords == (Fraction(1, 2), Fraction(1, 2))
+
+    def test_integer_vertices_stay_exact(self):
+        unit = SimplexVertices(0, 1, ((1, 0), (0, 1)))
+        for point in ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 2),) * 2):
+            coords = hull_membership(unit, point)
+            assert coords == point
+            assert all(type(c) is Fraction for c in coords)
 
     def test_outside_point_gets_negative_coordinate(self):
         outer = nested_simplex(SUB, TRIANGLE, 1, 2)
