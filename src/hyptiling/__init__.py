@@ -30,8 +30,8 @@ from .diffusion import (
 )
 from .render import render_svg
 from .symbolic import (
-    AtlasWord, SubstitutionModel, SubstitutionRule, ToeplitzModel,
-    atlas_words, block_type_counts, rule_112_122, window, word_to_str,
+    AtlasWord, SubstitutionModel, ToeplitzModel, atlas_words,
+    block_type_counts, window, word_to_str,
 )
 from .verification import run_all as run_verification
 
@@ -56,7 +56,6 @@ __all__ = [
     "PathResult", "default_start", "expected_block_fractions",
     "garnett_compare", "height_law_test", "log_height_samples",
     "log_height_stats", "run_paths", "simulate_path", "render_svg",
-    "AtlasWord", "SubstitutionModel", "SubstitutionRule", "ToeplitzModel",
-    "atlas_words", "block_type_counts", "rule_112_122", "window",
-    "word_to_str", "run_verification",
+    "AtlasWord", "SubstitutionModel", "ToeplitzModel", "atlas_words",
+    "block_type_counts", "window", "word_to_str", "run_verification",
 ]

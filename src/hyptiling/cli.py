@@ -137,6 +137,9 @@ def _write_text(text, out_path):
 #: level-12 words of the standard substitution, 1,062,882 letters, fit.
 _ATLAS_LETTERS = 2 * DEFAULT_MATERIALIZE_LIMIT
 
+#: Levels one `certify` run may report; its output and memory grow with them.
+_CERTIFY_LEVELS = 10**4
+
 
 @_sub("gen", _model_opts() + [
     Opt("--from", dest="start", type=int, required=True, help="window start"),
@@ -249,6 +252,9 @@ def _cmd_certify(ns) -> int:
     model = _build_model(ns)
     if ns.stop <= ns.start:
         raise _CliUsage("--to must exceed --from")
+    if ns.stop - ns.start > _CERTIFY_LEVELS:
+        raise SizeError(f"{_size_text(ns.stop - ns.start)} levels are over the "
+                        f"cap {_CERTIFY_LEVELS}")
     report = contraction_certificate(model, ns.scheme, range(ns.start, ns.stop))
     payload = {"model": _model_echo(model)}
     payload.update(report.to_json())

@@ -29,7 +29,7 @@ from .errors import CapError, DomainError, SizeError
 from .measures import (TRIANGLE, SimplexVertices, ergodic_measure_count,
                        hull_membership, transition_matrix)
 from .record import record
-from .symbolic import _size_text, as_model, block_labels
+from .symbolic import _size_text, block_labels
 
 LN2 = math.log(2.0)
 
@@ -51,7 +51,6 @@ class DiffusionConfig:
     trace_stride: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "model", as_model(self.model))
         if not (self.dt > 0) or not math.isfinite(self.dt):
             raise DomainError(f"step size {self.dt} must be positive")
         if self.horizon < 0 or not math.isfinite(self.horizon):
@@ -133,13 +132,12 @@ class PathResult:
     def time_elapsed(self) -> float:
         return self.steps_used * self.dt
 
-    def letter_steps(self, model_like) -> dict:
+    def letter_steps(self, model) -> dict:
         """Integer step counts regrouped by row color."""
-        return self.block_steps(model_like, 0)
+        return self.block_steps(model, 0)
 
-    def block_steps(self, model_like, q: int) -> dict:
+    def block_steps(self, model, q: int) -> dict:
         """Step counts regrouped by the level-q block label of each row."""
-        model = as_model(model_like)
         length = model.level_length(q)
         first = min(self.row_steps, default=0) // length
         labels = block_labels(model, q, first,
@@ -540,7 +538,7 @@ def _pelz_good_cdf(n: int, d: float) -> float:
 # Occupancy versus predicted frequencies
 
 
-def expected_block_fractions(model_like, q: int) -> tuple:
+def expected_block_fractions(model, q: int) -> tuple:
     """Fractions of the level-q block labels under the model's invariant
     measure, when it is unique and the level matrices repeat from q on.
 
@@ -548,7 +546,6 @@ def expected_block_fractions(model_like, q: int) -> tuple:
     triangle matrix T with b = model.branching(q): the exact barycentric
     coordinates of the origin in the columns of T - b I, rounded once.
     """
-    model = as_model(model_like)
     b = model.branching(q)
     columns = zip(*transition_matrix(model, q, TRIANGLE).ints)
     shifted = SimplexVertices(q, q + 1, tuple(

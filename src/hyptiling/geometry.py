@@ -16,7 +16,6 @@ from fractions import Fraction
 from .errors import DomainError, SizeError
 from .exact import exact, pow2
 from .record import record
-from .symbolic import as_model
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +161,12 @@ class OccurrenceClass:
 MAX_CLASSES = 1 << 20
 
 
-def occurrence_classes(model_like, q: int, parent_letter: int) -> tuple:
+def occurrence_classes(model, q: int, parent_letter: int) -> tuple:
     """Placements of level-q patches inside the level-(q+1) patch of a parent.
 
     One class per block of the parent word's decomposition: block m sits at
     depth m * (level-q length) with 2**depth horizontal slots.
     """
-    model = as_model(model_like)
     if q < 0:
         raise DomainError(f"level must be >= 0, got {q}")
     blocks = model.branching(q)

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .exact import decimal_string, log_ratio, reduce_dyadic, scalar_to_json, to_float
 from .record import record
-from .symbolic import SubstitutionModel, as_model, block_type_counts, rule_112_122
+from .symbolic import SubstitutionModel, block_type_counts
 
 TRIANGLE = "triangle"
 PAPER = "paper"
@@ -97,10 +97,9 @@ class TransitionMatrix:
         }
 
 
-def transition_matrix(model_like, q: int, scheme: str = TRIANGLE) -> TransitionMatrix:
+def transition_matrix(model, q: int, scheme: str = TRIANGLE) -> TransitionMatrix:
     """The matrix carrying level-(q+1) masses down to level q."""
     _require_scheme(scheme)
-    model = as_model(model_like)
     if scheme == TRIANGLE:
         if q < 0:
             raise DomainError(f"triangle matrices need level >= 0, got {q}")
@@ -110,7 +109,7 @@ def transition_matrix(model_like, q: int, scheme: str = TRIANGLE) -> TransitionM
 
 
 def _paper_matrix(model, q: int) -> TransitionMatrix:
-    if not isinstance(model, SubstitutionModel) or model.rule != rule_112_122():
+    if model != SubstitutionModel.standard():
         raise UnsupportedSchemeError(
             "the published closed-form matrices exist only for the "
             "two-letter 112/122 substitution"
@@ -148,7 +147,7 @@ def _prefix_products(model, scheme: str, q_from: int, q_to: int):
                                   shift=shift)
 
 
-def compose_range(model_like, scheme: str, q_from: int,
+def compose_range(model, scheme: str, q_from: int,
                   q_to: int) -> TransitionMatrix:
     """Exact product of the level matrices q_from .. q_to-1, left to right.
 
@@ -156,7 +155,6 @@ def compose_range(model_like, scheme: str, q_from: int,
     reduced entry outgrows BIT_BUDGET bits.
     """
     _require_scheme(scheme)
-    model = as_model(model_like)
     if q_from > q_to:
         raise DomainError(f"reversed level range [{q_from}, {q_to})")
     identity = tuple(tuple(int(i == j) for j in range(model.r))
@@ -192,12 +190,12 @@ def _vertex(ray) -> tuple:
     return tuple(Fraction(x, total) for x in ray)
 
 
-def nested_simplex(model_like, scheme: str, n: int, m: int) -> SimplexVertices:
+def nested_simplex(model, scheme: str, n: int, m: int) -> SimplexVertices:
     """Vertices of the depth-m simplex seen at level n: normalized columns
     of the exact product of matrices n .. m-1."""
     if m < n:
         raise DomainError(f"depth {m} below base level {n}")
-    product = compose_range(model_like, scheme, n, m)
+    product = compose_range(model, scheme, n, m)
     return SimplexVertices(
         base_level=n,
         depth=m,
@@ -302,13 +300,12 @@ class ContractionReport:
         }
 
 
-def contraction_certificate(model_like, scheme: str, levels) -> ContractionReport:
+def contraction_certificate(model, scheme: str, levels) -> ContractionReport:
     """Per-level projective diameters and contraction factors.
 
     Verdict "uniformly contracting" requires every level strictly positive
     with a positive contraction gap; a single zero entry withholds it.
     """
-    model = as_model(model_like)
     reports = []
     for q in levels:
         matrix = transition_matrix(model, q, scheme)
@@ -386,7 +383,7 @@ def _cluster_rays(rays, tol: float) -> tuple:
     return tuple(tuple(c) for c in clusters)
 
 
-def ergodic_measure_count(model_like, scheme: str = TRIANGLE,
+def ergodic_measure_count(model, scheme: str = TRIANGLE,
                           tolerance: float = 1e-6,
                           max_depth: int = 36) -> ErgodicCount:
     """Count the extreme invariant masses by deepening the nested simplex.
@@ -397,9 +394,10 @@ def ergodic_measure_count(model_like, scheme: str = TRIANGLE,
     vertex within the tolerance; otherwise the result is inconclusive.
     """
     _require_scheme(scheme)
-    model = as_model(model_like)
     if max_depth < 3:
         raise DomainError("max_depth leaves no room for a consecutive-depth pair")
+    if not (0 <= tolerance < math.inf):
+        raise DomainError(f"tolerance {tolerance} must be finite and nonnegative")
 
     products = _prefix_products(model, scheme, 1, max_depth)
     prev = tuple(zip(*next(products)[1].ints))
@@ -513,7 +511,7 @@ class MassResiduals:
         }
 
 
-def mass_conservation_check(model_like, scheme: str, q: int) -> MassResiduals:
+def mass_conservation_check(model, scheme: str, q: int) -> MassResiduals:
     """Residual of (level-(q+1) weight) - sum_i (level-q weight) * entry(i, j).
 
     Weights are word lengths, i.e. patch areas in units of the prototile
@@ -521,7 +519,6 @@ def mass_conservation_check(model_like, scheme: str, q: int) -> MassResiduals:
     published closed-form matrices do not, and the exact residual is the
     cleanest statement of that mismatch.
     """
-    model = as_model(model_like)
     matrix = transition_matrix(model, q, scheme)
     w_low = model.level_length(q)
     w_high = model.level_length(q + 1)
@@ -553,7 +550,7 @@ class FrequencyResult:
         }
 
 
-def measure_frequencies(model_like, scheme: str, measure_index: int,
+def measure_frequencies(model, scheme: str, measure_index: int,
                         q: int, stabilization: ErgodicCount) -> FrequencyResult:
     """Letter frequencies of one extreme measure, at finite depth q.
 
@@ -563,7 +560,6 @@ def measure_frequencies(model_like, scheme: str, measure_index: int,
     Exact rationals; the reported level is the depth of the estimate.
     scheme names the matrices the count was made with and is not read.
     """
-    model = as_model(model_like)
     if stabilization.status != "stabilized":
         raise InconclusiveError(
             "measure frequencies need a stabilized ergodic count; "

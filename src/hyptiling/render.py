@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 
 from .errors import CapError, DomainError, SizeError
-from .symbolic import as_model
 
 MAX_TILES = 50_000
 #: Points of one tile outline.  A window far narrower than a tile shrinks the
@@ -89,7 +88,7 @@ def _row_paths(width, points, n_lo, n_hi, fill, x_min, y_hi, scale):
             [(base + c + dx - x_min) * scale for c, dx in offsets])
 
 
-def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
+def render_svg(model, rows, x_range, out_path, overlay_levels=(),
                tol: float = 1e-3, width_px: float = 800.0,
                y_clip=None) -> int:
     """Write an SVG of the tiles in the given row band and x-window.
@@ -107,7 +106,6 @@ def render_svg(model_like, rows, x_range, out_path, overlay_levels=(),
         raise DomainError(f"tolerance {tol} must be positive")
     if not (0 < width_px < math.inf):
         raise DomainError(f"image width {width_px} must be positive and finite")
-    model = as_model(model_like) if model_like is not None else None
 
     has_rows = row_hi >= row_lo
     y_lo = math.ldexp(1.0, row_lo) if has_rows else 0.0

@@ -51,54 +51,6 @@ def _size_text(n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Rules
-
-
-@record
-class SubstitutionRule:
-    """Constant-length substitution over letters 1..r.
-
-    images[i-1] is the image word of letter i; all images share one length.
-    """
-
-    images: tuple
-
-    def __post_init__(self):
-        if not self.images:
-            raise DomainError("substitution rule needs at least one image")
-        images = tuple(tuple(w) for w in self.images)
-        object.__setattr__(self, "images", images)
-        length = len(images[0])
-        if length < 2:
-            raise DomainError("substitution images must have length >= 2")
-        r = len(images)
-        for i, img in enumerate(images, start=1):
-            if len(img) != length:
-                raise DomainError("substitution must have constant length")
-            for a in img:
-                if not (1 <= a <= r):
-                    raise DomainError(f"image of {i} uses letter {a} outside 1..{r}")
-
-    @property
-    def r(self) -> int:
-        return len(self.images)
-
-    @property
-    def length(self) -> int:
-        return len(self.images[0])
-
-    def image(self, letter: int) -> Word:
-        if not (1 <= letter <= self.r):
-            raise DomainError(f"letter {letter} outside 1..{self.r}")
-        return self.images[letter - 1]
-
-
-def rule_112_122() -> SubstitutionRule:
-    """The two-letter rule 1 -> 112, 2 -> 122."""
-    return SubstitutionRule(((1, 1, 2), (1, 2, 2)))
-
-
-# ---------------------------------------------------------------------------
 # Models
 
 
@@ -165,15 +117,12 @@ class ToeplitzModel:
         parent is filled by the parent-level step; otherwise its pending
         positions are those of the parent, and the walk continues.
         """
-        return self.block_letter_step(q, block)[0]
-
-    def block_letter_step(self, q: int, block: int) -> tuple:
         level, k = q, block
         while level < self.max_depth:
             b = self.branching(level)
             pos = k % b
             if pos == 0 or pos == b - 1:
-                return self.color(level + 1), level + 1
+                return self.color(level + 1)
             k //= b
             level += 1
         raise CapError(
@@ -230,7 +179,8 @@ class ToeplitzModel:
 
 @record
 class SubstitutionModel:
-    """Sequence model for a constant-length substitution fixed point.
+    """Sequence model for the fixed point of a constant-length substitution
+    over letters 1..r; images[i-1] is the image word of letter i.
 
     The sequence is the two-sided limit word: positions >= 0 follow the
     right-infinite limit of rule^n(1), positions < 0 the left-infinite limit
@@ -238,40 +188,57 @@ class SubstitutionModel:
     ends with 2; the constructor rejects rules without that property.
     """
 
-    rule: SubstitutionRule
+    images: tuple
     name = "substitution"
 
     def __post_init__(self):
-        if self.rule.r < 2:
+        if not self.images:
+            raise DomainError("substitution rule needs at least one image")
+        images = tuple(tuple(w) for w in self.images)
+        object.__setattr__(self, "images", images)
+        if len(images[0]) < 2:
+            raise DomainError("substitution images must have length >= 2")
+        for i, img in enumerate(images, start=1):
+            if len(img) != len(images[0]):
+                raise DomainError("substitution must have constant length")
+            for a in img:
+                if not (1 <= a <= self.r):
+                    raise DomainError(f"image of {i} uses letter {a} outside 1..{self.r}")
+        if self.r < 2:
             raise ModelError("fixed-point model needs letters 1 and 2")
-        if self.rule.image(1)[0] != 1:
+        if images[0][0] != 1:
             raise ModelError("image of 1 must start with 1 for the right limit")
-        if self.rule.image(2)[-1] != 2:
+        if images[1][-1] != 2:
             raise ModelError("image of 2 must end with 2 for the left limit")
 
     @classmethod
     def standard(cls) -> "SubstitutionModel":
-        return cls(rule_112_122())
+        """The two-letter rule 1 -> 112, 2 -> 122."""
+        return cls(((1, 1, 2), (1, 2, 2)))
 
     def __repr__(self):
-        images = [word_to_str(w, self.r) for w in self.rule.images]
+        images = [word_to_str(w, self.r) for w in self.images]
         return f"SubstitutionModel({'/'.join(images)})"
 
     @property
     def r(self) -> int:
-        return self.rule.r
+        return len(self.images)
+
+    @property
+    def length(self) -> int:
+        return len(self.images[0])
 
     def level_length(self, q: int) -> int:
         if q < 0:
             raise DomainError(f"level must be >= 0, got {q}")
-        return self.rule.length**q
+        return self.length**q
 
     def branching(self, q: int) -> int:
-        return self.rule.length
+        return self.length
 
     def letter(self, position: int) -> Letter:
         """Fixed-point letter at any integer position (negative included)."""
-        length = self.rule.length
+        length = self.length
         if position >= 0:
             seed, span = 1, 1
             while span <= position:
@@ -285,7 +252,7 @@ class SubstitutionModel:
         current = seed
         while span > 1:
             span //= length
-            current = self.rule.image(current)[offset // span]
+            current = self.images[current - 1][offset // span]
             offset %= span
         return current
 
@@ -296,7 +263,9 @@ class SubstitutionModel:
     def children(self, q: int, letter: Letter) -> Word:
         if q < 1:
             raise DomainError("children are defined for levels >= 1")
-        return self.rule.image(letter)
+        if not (1 <= letter <= self.r):
+            raise DomainError(f"letter {letter} outside 1..{self.r}")
+        return self.images[letter - 1]
 
     def child_at(self, q: int, letter: Letter, slot: int) -> Letter:
         image = self.children(q, letter)
@@ -305,31 +274,19 @@ class SubstitutionModel:
         return image[slot]
 
     def children_count_vector(self, q: int, letter: Letter) -> tuple:
-        if q < 1:
-            raise DomainError("children are defined for levels >= 1")
         counts = [0] * self.r
-        for a in self.rule.image(letter):
+        for a in self.children(q, letter):
             counts[a - 1] += 1
         return tuple(counts)
-
-
-def as_model(source):
-    """Coerce a rule or model into a model object."""
-    if isinstance(source, (ToeplitzModel, SubstitutionModel)):
-        return source
-    if isinstance(source, SubstitutionRule):
-        return SubstitutionModel(source)
-    raise DomainError(f"not a sequence model: {source!r}")
 
 
 # ---------------------------------------------------------------------------
 # Positional queries
 
 
-def window(model_like, start: int, stop: int) -> Word:
+def window(model, start: int, stop: int) -> Word:
     """Letters at positions start..stop-1 of the model's sequence, at most
     DEFAULT_MATERIALIZE_LIMIT of them."""
-    model = as_model(model_like)
     if stop < start:
         raise DomainError(f"empty-or-reversed window [{start}, {stop})")
     if stop - start > DEFAULT_MATERIALIZE_LIMIT:
@@ -463,9 +420,8 @@ class AtlasLevel:
         return handle.word(max_letters)
 
 
-def atlas_words(model_like, q: int) -> AtlasLevel:
+def atlas_words(model, q: int) -> AtlasLevel:
     """The level-q atlas; each `word` call builds the one handle it reads."""
-    model = as_model(model_like)
     if q < 0:
         raise DomainError(f"level must be >= 0, got {q}")
     return AtlasLevel(q=q, length=model.level_length(q), model=model)
@@ -475,13 +431,12 @@ def atlas_words(model_like, q: int) -> AtlasLevel:
 # Block counting
 
 
-def block_type_counts(model_like, base: int, q: int, letter: Letter) -> tuple:
+def block_type_counts(model, base: int, q: int, letter: Letter) -> tuple:
     """Multiplicity of each level-`base` label inside the level-q word `letter`.
 
     Index 0 of the result counts label 1.  Built one level at a time upward
     from base, so it works far beyond materializable lengths.
     """
-    model = as_model(model_like)
     if base < 0 or q < base:
         raise DomainError(f"need 0 <= base <= level, got base={base}, level={q}")
     if not (1 <= letter <= model.r):

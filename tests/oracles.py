@@ -52,14 +52,16 @@ def hilbert_distance_segment(x, y) -> float:
     )
 
 
-def substitution_image(rule, word, n: int, max_letters: int = 10**6) -> tuple:
-    """n-fold image of a word under the rule; n = 0 returns the word."""
+def substitution_image(model, word, n: int, max_letters: int = 10**6) -> tuple:
+    """n-fold image of a word under the model's rule, read from
+    `model.images`; n = 0 returns the word."""
     if n < 0:
         raise DomainError(f"iteration count must be >= 0, got {n}")
     current = tuple(word)
     for a in current:
-        rule.image(a)  # validates letters
-    predicted = len(current) * rule.length**n
+        if not (1 <= a <= model.r):
+            raise DomainError(f"letter {a} outside 1..{model.r}")
+    predicted = len(current) * len(model.images[0])**n
     if predicted > max_letters:
         raise SizeError(
             f"image would have {predicted} letters, over the cap {max_letters}"
@@ -67,7 +69,7 @@ def substitution_image(rule, word, n: int, max_letters: int = 10**6) -> tuple:
     for _ in range(n):
         grown = []
         for a in current:
-            grown.extend(rule.image(a))
+            grown.extend(model.images[a - 1])
         current = tuple(grown)
     return current
 

@@ -13,7 +13,8 @@ from hyptiling.diffusion import LeafState
 from hyptiling.geometry import AffineMap, OccurrenceClass, Patch, TileAddress
 from hyptiling.harmonic import BoundaryAtoms, TransportCheck
 from hyptiling.measures import TransitionMatrix
-from hyptiling.symbolic import AtlasLevel, AtlasWord, ToeplitzModel
+from hyptiling.symbolic import (AtlasLevel, AtlasWord, SubstitutionModel,
+                                ToeplitzModel)
 
 # Names that only repeated a job another public name does, and names only
 # tests called (their reference routines live in tests/oracles.py).
@@ -23,7 +24,8 @@ DELETED = ("letter_counts", "limit_frequencies", "Occurrence",
            "substitution_image", "word_from_str", "AlignmentError",
            "AnchoredTiling", "agreement_radius", "hull_distance",
            "suspension_project", "doubling_map", "shift_map",
-           "herglotz_evaluator", "ToeplitzSpec")
+           "herglotz_evaluator", "ToeplitzSpec", "SubstitutionRule",
+           "rule_112_122", "as_model")
 
 
 def test_every_listed_name_resolves():
@@ -42,6 +44,9 @@ def test_deleted_names_are_not_listed():
 
 def test_deleted_methods_and_fields_are_gone():
     assert not hasattr(ToeplitzModel, "letter_step")
+    assert not hasattr(ToeplitzModel, "block_letter_step")
+    assert not hasattr(SubstitutionModel, "rule")
+    assert SubstitutionModel.__match_args__ == ("images",)
     assert not hasattr(AtlasLevel, "words")
     assert "handles" not in AtlasLevel.__match_args__
     assert not hasattr(TransportCheck, "to_json")
@@ -98,6 +103,25 @@ def test_knobs_only_tests_turned_are_constants():
                          (diffusion, "_FRACTIONS_MAX_LEVEL"),
                          (errors, "EXIT_OK"), (errors, "EXIT_USAGE")):
         assert not hasattr(module, name), name
+
+
+def test_models_are_the_only_model_inputs():
+    """Each sequence family has one model record, taken as it is: no
+    function has a `model_like` parameter, and both models keep `child_at`,
+    the rule stated one slot at a time."""
+    for info in pkgutil.iter_modules(hyptiling.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"hyptiling.{info.name}")
+        for name, func in inspect.getmembers(module, inspect.isfunction):
+            assert "model_like" not in inspect.signature(func).parameters, name
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                for name, func in inspect.getmembers(cls, inspect.isfunction):
+                    params = inspect.signature(func).parameters
+                    assert "model_like" not in params, (cls.__name__, name)
+    for model in (ToeplitzModel.of_rank(3), SubstitutionModel.standard()):
+        assert model.child_at(1, 2, 1) == model.children(1, 2)[1]
 
 
 def test_every_class_is_an_error_or_a_frozen_record():

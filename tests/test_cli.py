@@ -51,6 +51,7 @@ def assert_short_error(out, err):
     assert len(err.encode()) < 200 and "cap" in err
 
 
+EMPTY = hashlib.sha256(b"").hexdigest()  # the stdout of a usage error
 NINES = "9" * 4300  # the longest int Python's default digit limit parses
 
 
@@ -261,22 +262,94 @@ class TestFrozenOutput:
     RENDER_SVG = (
         "a327715c4fda63b524f34bf3c437b605feb94018cd6cbd861c8249b6e2a36999")
 
-    def test_command_digests(self, monkeypatch, tmp_path):
-        import numpy
+    #: The same for Toeplitz and capped runs, one-letter atlas words of a
+    #: large alphabet, a second measure, a two-overlay render and two usage
+    #: errors.
+    MORE_COMMANDS = [
+        (["diffuse", "--model", "toeplitz", "--r", "2", "--paths", "20",
+          "--horizon", "10", "--seed", "7717"], 0,
+         "418876c105b5f6f1ff9a10e1a19d7cd5b24afce93f1c12b59a51c8aec6559d13"),
+        (["diffuse", "--model", "toeplitz", "--r", "3", "--max-depth", "3",
+          "--paths", "3", "--horizon", "5"], 0,
+         "c27e57b662002cd62789d3d1716e7cb5de7028d938ee42547674b57089625a4d"),
+        (["atlas", "--model", "toeplitz", "--r", "3", "--level", "3"], 0,
+         "cdfaf0ba1649da1dbf3bbc04b4238e9339d9104d4a8ac6185806eafe169ff90b"),
+        (["atlas", "--model", "toeplitz", "--r", "100000", "--level", "1",
+          "--letter", "99999"], 0,
+         "1e77129dd48f8269cf737a7ab23dedc84bd0b4ee94ee788d86192c7059c12f7c"),
+        (["measures", "--model", "toeplitz", "--r", "3", "--depth", "5"], 6,
+         "e40b73ce3e2f7f175e042c29c9277b954de462b7ade7d10271557597333262df"),
+        (["frequencies", "--model", "toeplitz", "--r", "3", "--measure", "2",
+          "--level", "3"], 0,
+         "b61e50d8dcd89f8f4a2687e81c3a06f4d1befdaa04ed9ee462384e638e98bb31"),
+        (["matrices", "--model", "toeplitz", "--r", "3", "--from", "1", "--to",
+          "4"], 0,
+         "f272a0747bc0cc1a7d0101fc7c5de6c84def60a04d5bbb7c33b38f142fea05b1"),
+        (["render", "--model", "substitution", "--rows", "0", "4", "--x", "0",
+          "8", "--overlay", "1", "--overlay", "2", "--out", "overlays.svg"], 0,
+         "c566c9303cf8dfaeec1c1eb49ce200181613503add8829a890f7b07d9e1134de"),
+        (["certify", "--model", "substitution", "--from", "3", "--to", "3"], 2,
+         EMPTY),
+        (["matrices", "--model", "substitution", "--level", "1", "--from",
+          "1"], 2, EMPTY),
+    ]
+    OVERLAY_SVG = (
+        "37dce7050f51dfb529bf8193f67ba55fdd032c4c4cd1f5fcea67364f958787e4")
 
-        monkeypatch.chdir(tmp_path)  # render writes render.svg here
-        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to
+    #: The same for commands run cold, as `python -m hyptiling`.
+    COLD_COMMANDS = [
+        (["gen", "--model", "toeplitz", "--r", "3", "--from", "-20", "--to",
+          "20"], 0,
+         "0a0a07e7ce08bb195f49fe5d89022d847a2ddba9704321ac660b4f475ee79819"),
+        (["atlas", "--model", "substitution", "--level", "3"], 0,
+         "b535673b5123dd2594d039df1c6fedd90412b7a8beaf7cd2cfdcd9a35e06b0df"),
+        (["gen", "--model", "toeplitz", "--from", "0"], 2, EMPTY),
+    ]
+
+    @staticmethod
+    def _mismatches(commands, runner):
+        """Commands whose exit code or stdout digest differs from the table."""
         wrong = []
-        for argv, code, digest in self.COMMANDS:
-            got_code, out, _ = run(argv)
-            got = hashlib.sha256(out.encode()).hexdigest()
+        for argv, code, digest in commands:
+            got_code, out = runner(argv)
+            got = hashlib.sha256(out).hexdigest()
             if (got_code, got) != (code, digest):
                 wrong.append(f"{' '.join(argv)}: exit {got_code}, {got}")
-        svg = hashlib.sha256((tmp_path / "render.svg").read_bytes()).hexdigest()
-        if svg != self.RENDER_SVG:
-            wrong.append(f"render.svg: {svg}")
+        return wrong
+
+    @staticmethod
+    def _in_process(argv):
+        code, out, _ = run(argv)
+        return code, out.encode()
+
+    def _frozen(self, monkeypatch, tmp_path, commands, svg, svg_digest):
+        import numpy
+
+        monkeypatch.chdir(tmp_path)  # render writes its SVG here
+        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to
+        wrong = self._mismatches(commands, self._in_process)
+        got = hashlib.sha256((tmp_path / svg).read_bytes()).hexdigest()
+        if got != svg_digest:
+            wrong.append(f"{svg}: {got}")
         assert not wrong, (f"numpy {numpy.__version__}: "
                            + "; ".join(wrong))
+
+    def test_command_digests(self, monkeypatch, tmp_path):
+        self._frozen(monkeypatch, tmp_path, self.COMMANDS, "render.svg",
+                     self.RENDER_SVG)
+
+    def test_more_command_digests(self, monkeypatch, tmp_path):
+        self._frozen(monkeypatch, tmp_path, self.MORE_COMMANDS, "overlays.svg",
+                     self.OVERLAY_SVG)
+
+    def test_cold_command_digests(self):
+        def cold(argv):
+            proc = subprocess.run([sys.executable, "-m", "hyptiling", *argv],
+                                  capture_output=True)
+            return proc.returncode, proc.stdout
+
+        wrong = self._mismatches(self.COLD_COMMANDS, cold)
+        assert not wrong, "; ".join(wrong)
 
 
 class TestMatrices:
@@ -390,6 +463,22 @@ class TestMeasures:
         assert payload["status"] == "inconclusive"
         assert payload["ergodic_count"] == 3  # raw count, not certified
 
+    @pytest.mark.parametrize("command", [
+        ["measures"], ["frequencies", "--level", "2"],
+    ], ids=["measures", "frequencies"])
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
+    def test_tolerance_outside_the_range_exits_3(self, monkeypatch, command,
+                                                   tolerance):
+        # an infinite tolerance merged the three rays into one "stabilized"
+        # measure; nan and -1 ran every depth before exiting 6
+        calls = []
+        monkeypatch.setattr("hyptiling.measures._prefix_products",
+                            lambda *args: calls.append(args))
+        code, out, err = run([*command, "--model", "toeplitz", "--r", "3",
+                              "--tolerance", tolerance])
+        assert (code, out, calls) == (3, "", [])
+        assert "tolerance" in err and err.count("\n") == 1
+
 
 class TestCertify:
     def test_substitution_certificate(self):
@@ -405,6 +494,16 @@ class TestCertify:
             ["certify", "--model", "substitution", "--from", "3", "--to", "3"]
         )
         assert code == 2
+
+    def test_level_cap_exits_before_any_matrix(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("hyptiling.cli.contraction_certificate",
+                            lambda *args: calls.append(args))
+        code, out, err = run(["certify", "--model", "substitution",
+                              "--from", "0", "--to", "10001"])
+        assert code == 5
+        assert_short_error(out, err)
+        assert "10001 levels" in err and calls == []
 
 
 class TestFrequencies:

@@ -17,7 +17,6 @@ from hyptiling import (
     PathResult,
     SizeError,
     SubstitutionModel,
-    SubstitutionRule,
     ToeplitzModel,
     default_start,
     ergodic_measure_count,
@@ -84,9 +83,7 @@ class TestConfig:
         DiffusionConfig(SUB, trace_stride=200)  # 50 * 10,001 points
         DiffusionConfig(SUB, dt=1.0, horizon=1e7, trace_stride=0)
 
-    def test_model_coercion(self):
-        cfg = DiffusionConfig(SUB.rule)
-        assert cfg.model == SUB
+    def test_model_is_stored_as_itself(self):
         model = ToeplitzModel.of_rank(2)
         assert DiffusionConfig(model).model is model
 
@@ -417,16 +414,16 @@ class TestHeightLaw:
             height_law_test(run_paths(cfg))
 
 
-#: Constant-length rules with the fixed-point property (image of 1 starts
-#: with 1, image of 2 ends with 2), over 2 or 3 letters.
+#: Models of constant-length rules with the fixed-point property (image of 1
+#: starts with 1, image of 2 ends with 2), over 2 or 3 letters.
 @st.composite
-def fixed_point_rules(draw):
+def fixed_point_models(draw):
     r = draw(st.integers(2, 3))
     length = draw(st.integers(2, 4))
     images = [draw(st.lists(st.integers(1, r), min_size=length,
                             max_size=length)) for _ in range(r)]
     images[0][0], images[1][-1] = 1, 2
-    return SubstitutionRule(tuple(map(tuple, images)))
+    return SubstitutionModel(tuple(map(tuple, images)))
 
 
 class TestExpectedFractions:
@@ -439,10 +436,9 @@ class TestExpectedFractions:
         for q in range(3):
             assert expected_block_fractions(one, q) == (1.0,)
 
-    @given(rule=fixed_point_rules(), q=st.integers(0, 1))
+    @given(model=fixed_point_models(), q=st.integers(0, 1))
     @settings(max_examples=40, deadline=None)
-    def test_fixed_vector_is_the_deepened_limit(self, rule, q):
-        model = SubstitutionModel(rule)
+    def test_fixed_vector_is_the_deepened_limit(self, model, q):
         count = ergodic_measure_count(model)
         assume(count.status == "stabilized" and count.count == 1)
         want = deepened_block_fractions(model, q)

@@ -18,7 +18,6 @@ from hyptiling import (
     InconclusiveError,
     SimplexVertices,
     SubstitutionModel,
-    SubstitutionRule,
     ToeplitzModel,
     TransitionMatrix,
     UnsupportedSchemeError,
@@ -131,9 +130,9 @@ class TestClosedFormMatrices:
     def test_scheme_restrictions(self):
         with pytest.raises(UnsupportedSchemeError):
             transition_matrix(T2, 1, PAPER)
-        other_rule = SubstitutionRule(((1, 2, 2), (1, 2, 2)))
+        other = SubstitutionModel(((1, 2, 2), (1, 2, 2)))
         with pytest.raises(UnsupportedSchemeError):
-            transition_matrix(SubstitutionModel(other_rule), 1, PAPER)
+            transition_matrix(other, 1, PAPER)
         with pytest.raises(DomainError):
             transition_matrix(SUB, 0, PAPER)
         with pytest.raises(UnsupportedSchemeError):
@@ -327,6 +326,12 @@ class TestErgodicCount:
     def test_depth_must_allow_a_pair(self):
         with pytest.raises(DomainError):
             ergodic_measure_count(T2, max_depth=2)
+
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, -1e-9])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
+        with pytest.raises(DomainError, match="tolerance"):
+            ergodic_measure_count(T3, tolerance=tolerance)
+        assert ergodic_measure_count(T3, tolerance=0.0).count == 3
 
     def test_witnesses_lie_in_clusters(self):
         result = ergodic_measure_count(T2)

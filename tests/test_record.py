@@ -12,7 +12,6 @@ from hyptiling import (
     DomainError,
     LeafState,
     SubstitutionModel,
-    SubstitutionRule,
     TileAddress,
     ToeplitzModel,
     simulate_path,
@@ -73,9 +72,9 @@ class TestValueSemantics:
         assert TileAddress(1, 2).__eq__((1, 2)) is NotImplemented
         assert TileAddress(1, 2) != (1, 2)
         assert _path() == _path()
-        rule = SubstitutionRule(([1, 1, 2], [1, 2, 2]))  # a one-field record
-        assert rule == SubstitutionRule(((1, 1, 2), (1, 2, 2)))
-        assert hash(rule) == hash((((1, 1, 2), (1, 2, 2)),))
+        model = SubstitutionModel(([1, 1, 2], [1, 2, 2]))  # a one-field record
+        assert model == SubstitutionModel(((1, 1, 2), (1, 2, 2)))
+        assert hash(model) == hash((((1, 1, 2), (1, 2, 2)),))
 
     def test_unhashable_field_makes_record_unhashable(self):
         with pytest.raises(TypeError):
@@ -141,7 +140,7 @@ class TestValueSemantics:
         lambda: AffineMap(Fraction(1, 3), -2),
         lambda: DiffusionConfig(SUB, dt=0.5, horizon=1.0, paths=2),
         lambda: transition_matrix(SUB, 2, "paper"),
-        lambda: SubstitutionRule(((1, 1, 2), (1, 2, 2))),
+        lambda: SubstitutionModel(((1, 1, 2), (1, 2, 2))),
         lambda: ToeplitzModel(3, max_depth=7),
         _path,
     ])

@@ -15,13 +15,11 @@ from hyptiling import (
     ModelError,
     SizeError,
     SubstitutionModel,
-    SubstitutionRule,
     ToeplitzModel,
     atlas_words,
     block_type_counts,
     ergodic_measure_count,
     occurrence_classes,
-    rule_112_122,
     transition_matrix,
     window,
     word_to_str,
@@ -30,9 +28,9 @@ from hyptiling.symbolic import DEFAULT_MATERIALIZE_LIMIT, AtlasWord, block_label
 from oracles import (AlignmentError, block_decompose, letter_at, substitution_image,
                      word_from_str)
 
-RULE = rule_112_122()
+SUB = SubstitutionModel.standard()
 # three letters, length 4: image(1) starts with 1 and image(2) ends with 2
-RULE_3 = SubstitutionRule(((1, 3, 2, 2), (3, 1, 1, 2), (2, 3, 1, 3)))
+SUB_3 = SubstitutionModel(((1, 3, 2, 2), (3, 1, 1, 2), (2, 3, 1, 3)))
 
 
 def brute_force_filling(r: int, lo: int, hi: int, max_step: int = 6) -> dict:
@@ -120,21 +118,18 @@ class TestToeplitzLetters:
         oracle = brute_force_filling(r, -p3, p3)
         assert len(oracle) == 2 * p3  # every position is filled by step 6
         for q, (letter, step) in oracle.items():
-            assert model.block_letter_step(0, q) == (letter, step), q
+            assert model.block_letter(0, q) == letter, q
 
     def test_every_position_defined_by_step_six(self):
-        # the full two-sided window of length 2 * p_5, with the cap at 6
+        # the full two-sided window of length 2 * p_5, with the cap at 6: a
+        # position that needs a seventh step raises a cap error
         model = ToeplitzModel.of_rank(2, max_depth=6)
         p5 = 177147
-        worst = 0
         for q in range(-p5, p5, 101):  # stride keeps the sweep under a second
-            _, step = model.block_letter_step(0, q)
-            worst = max(worst, step)
+            model.block_letter(0, q)
         # edges and block corners, exhaustively near the period boundaries
         for q in list(range(-p5, -p5 + 2200)) + list(range(p5 - 2200, p5)):
-            _, step = model.block_letter_step(0, q)
-            worst = max(worst, step)
-        assert worst <= 6
+            model.block_letter(0, q)
 
     def test_cap_error_mentions_depth(self):
         model = ToeplitzModel.of_rank(2, max_depth=1)
@@ -181,16 +176,16 @@ class TestToeplitzLetters:
 
 class TestSubstitution:
     def test_image_examples(self):
-        assert substitution_image(RULE, (1,), 1) == (1, 1, 2)
-        assert substitution_image(RULE, (1,), 2) == (1, 1, 2, 1, 1, 2, 1, 2, 2)
-        assert substitution_image(RULE, (2,), 0) == (2,)
+        assert substitution_image(SUB, (1,), 1) == (1, 1, 2)
+        assert substitution_image(SUB, (1,), 2) == (1, 1, 2, 1, 1, 2, 1, 2, 2)
+        assert substitution_image(SUB, (2,), 0) == (2,)
 
     def test_image_size_guard(self):
         with pytest.raises(SizeError):
-            substitution_image(RULE, (1,), 20, max_letters=10**6)
+            substitution_image(SUB, (1,), 20, max_letters=10**6)
 
     def test_fixed_window_examples(self):
-        model = SubstitutionModel(RULE)
+        model = SUB
         assert window(model, -3, 3) == (1, 2, 2, 1, 1, 2)
         assert window(model, 0, 1) == (1,)
         assert window(model, -1, 0) == (2,)
@@ -198,28 +193,34 @@ class TestSubstitution:
     def test_fixed_point_re_expansion(self):
         # applying the rule to w[-n, n) and re-aligning at the dot must give
         # w[-3n, 3n) verbatim
-        model = SubstitutionModel(RULE)
+        model = SUB
         for n in (1, 4, 9, 27):
             base = window(model, -n, n)
             grown = tuple(
-                letter for x in base for letter in RULE.image(x)
+                letter for x in base for letter in model.images[x - 1]
             )
             assert grown == window(model, -3 * n, 3 * n)
 
     def test_rule_validation(self):
-        with pytest.raises(DomainError):
-            SubstitutionRule(((1, 1), (1, 2, 2)))  # ragged
-        with pytest.raises(DomainError):
-            SubstitutionRule(((1, 3, 2), (1, 2, 2)))  # letter out of range
-        bad_seed = SubstitutionRule(((2, 1, 1), (1, 2, 2)))
-        with pytest.raises(ModelError):
-            SubstitutionModel(bad_seed)
-        with pytest.raises(ModelError):
-            window(bad_seed, -1, 1)  # the rule is coerced into a model
+        with pytest.raises(DomainError, match="at least one image"):
+            SubstitutionModel(())
+        with pytest.raises(DomainError, match="length >= 2"):
+            SubstitutionModel(((1,), (2,)))
+        with pytest.raises(DomainError, match="constant length"):
+            SubstitutionModel(((1, 1), (1, 2, 2)))
+        with pytest.raises(DomainError, match="outside 1..2"):
+            SubstitutionModel(((1, 3, 2), (1, 2, 2)))
+        with pytest.raises(ModelError, match="letters 1 and 2"):
+            SubstitutionModel(((1, 1),))
+        with pytest.raises(ModelError, match="start with 1"):
+            SubstitutionModel(((2, 1, 1), (1, 2, 2)))
+        with pytest.raises(ModelError, match="end with 2"):
+            SubstitutionModel(((1, 1, 2), (2, 2, 1)))
+        assert SubstitutionModel(([1, 1, 2], [1, 2, 2])) == SUB  # lists become tuples
 
     def test_model_letters_match_fixed_window(self):
         model = SubstitutionModel.standard()
-        fresh = SubstitutionModel(RULE)
+        fresh = SubstitutionModel(((1, 1, 2), (1, 2, 2)))
         assert window(model, -9, 9) == tuple(fresh.letter(p) for p in range(-9, 9))
 
 
@@ -232,7 +233,7 @@ def _per_letter(model, start, stop):
 
 
 MODELS = st.one_of(
-    st.sampled_from([SubstitutionModel.standard(), SubstitutionModel(RULE_3)]),
+    st.sampled_from([SubstitutionModel.standard(), SUB_3]),
     st.builds(ToeplitzModel.of_rank, st.integers(1, 6),
               st.sampled_from([1, 2, 3, 4, 5, 6, 48])),
 )
@@ -307,7 +308,7 @@ class TestBlockLabels:
 # Models for the route comparison: r = 300 stores letters as 4-byte items,
 # and capped Toeplitz models have blocks labelled None.
 ROUTE_MODELS = st.one_of(
-    st.sampled_from([SubstitutionModel.standard(), SubstitutionModel(RULE_3)]
+    st.sampled_from([SubstitutionModel.standard(), SUB_3]
                     + [ToeplitzModel.of_rank(r) for r in (1, 2, 3, 8, 300)]),
     st.builds(ToeplitzModel.of_rank, st.sampled_from([2, 3, 8, 300]),
               st.integers(1, 3)),
@@ -407,7 +408,7 @@ class TestAtlas:
         assert word_to_str(lvl1.word(1), 2) == "112"
         assert word_to_str(lvl1.word(2), 2) == "122"
         lvl2 = atlas_words(sub, 2)
-        assert lvl2.word(1) == substitution_image(RULE, (1,), 2)
+        assert lvl2.word(1) == substitution_image(SUB, (1,), 2)
 
     def test_level_zero(self):
         for model in (ToeplitzModel.of_rank(3), SubstitutionModel.standard()):
