@@ -8,8 +8,8 @@ from .errors import (
 )
 from .exact import exact, pow2
 from .geometry import (
-    AffineMap, OccurrenceClass, Patch, TileAddress, alpha, identity_map,
-    occurrence_classes, patch_partition_check, tile_containing_point,
+    AffineMap, OccurrenceClass, Patch, TileAddress, occurrence_classes,
+    patch_partition_check, tile_containing_point,
 )
 from .harmonic import (
     BoundaryAtoms, TransportCheck, boundary_recover, cylinder_mass_exact,
@@ -17,11 +17,11 @@ from .harmonic import (
 )
 from .measures import (
     PAPER, TRIANGLE, ContractionReport, ErgodicCount, FrequencyResult,
-    LevelContraction, MassResiduals, SimplexVertices, TransitionMatrix,
-    birkhoff_factor, compose_range, contraction_certificate,
-    ergodic_measure_count, hull_contains, hull_membership,
-    mass_conservation_check, measure_frequencies, nested_simplex,
-    projective_diameter, projective_distance, transition_matrix,
+    LevelContraction, MassResiduals, TransitionMatrix, birkhoff_factor,
+    compose_range, contraction_certificate, ergodic_measure_count,
+    hull_contains, hull_membership, mass_conservation_check,
+    measure_frequencies, nested_simplex, projective_diameter,
+    projective_distance, transition_matrix,
 )
 from .diffusion import (
     DiffusionConfig, LeafState, PathResult, default_start,
@@ -41,15 +41,14 @@ __all__ = [
     "BudgetError", "CapError", "DegeneracyError", "DomainError",
     "InconclusiveError", "ModelError", "QuadratureError", "SizeError",
     "TilingError", "UnsupportedSchemeError", "exact", "pow2",
-    "AffineMap", "OccurrenceClass", "Patch", "TileAddress", "alpha",
-    "identity_map", "occurrence_classes", "patch_partition_check",
-    "tile_containing_point",
+    "AffineMap", "OccurrenceClass", "Patch", "TileAddress",
+    "occurrence_classes", "patch_partition_check", "tile_containing_point",
     "BoundaryAtoms", "TransportCheck", "boundary_recover",
     "cylinder_mass_exact", "herglotz_evaluate", "map_rect",
     "transport_scaling_check", "PAPER", "TRIANGLE",
     "ContractionReport", "ErgodicCount", "FrequencyResult", "LevelContraction",
-    "MassResiduals", "SimplexVertices", "TransitionMatrix", "birkhoff_factor",
-    "compose_range", "contraction_certificate", "ergodic_measure_count",
+    "MassResiduals", "TransitionMatrix", "birkhoff_factor", "compose_range",
+    "contraction_certificate", "ergodic_measure_count",
     "hull_contains", "hull_membership", "mass_conservation_check",
     "measure_frequencies", "nested_simplex", "projective_diameter",
     "projective_distance", "transition_matrix", "DiffusionConfig", "LeafState",

@@ -137,8 +137,9 @@ def _write_text(text, out_path):
 #: level-12 words of the standard substitution, 1,062,882 letters, fit.
 _ATLAS_LETTERS = 2 * DEFAULT_MATERIALIZE_LIMIT
 
-#: Levels one `certify` run may report; its output and memory grow with them.
-_CERTIFY_LEVELS = 10**4
+#: The largest `--level`, and the most levels one `certify` run may report:
+#: output, memory and time grow with them.
+_LEVELS = 10**4
 
 
 @_sub("gen", _model_opts() + [
@@ -252,9 +253,9 @@ def _cmd_certify(ns) -> int:
     model = _build_model(ns)
     if ns.stop <= ns.start:
         raise _CliUsage("--to must exceed --from")
-    if ns.stop - ns.start > _CERTIFY_LEVELS:
+    if ns.stop - ns.start > _LEVELS:
         raise SizeError(f"{_size_text(ns.stop - ns.start)} levels are over the "
-                        f"cap {_CERTIFY_LEVELS}")
+                        f"cap {_LEVELS}")
     report = contraction_certificate(model, ns.scheme, range(ns.start, ns.stop))
     payload = {"model": _model_echo(model)}
     payload.update(report.to_json())
@@ -506,6 +507,9 @@ def main(argv=None) -> int:
     try:
         config = _read_config(ns.config) if ns.config else {}
         _merge(ns, opts, config)
+        if (getattr(ns, "level", None) or 0) > _LEVELS:  # before any library call
+            raise SizeError(f"--level {_size_text(ns.level)} is over the cap "
+                            f"{_LEVELS}")
         return func(ns)
     except _CliUsage as err:
         print(f"usage error: {err}", file=sys.stderr)

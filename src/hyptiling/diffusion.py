@@ -26,8 +26,8 @@ import math
 from itertools import chain
 
 from .errors import CapError, DomainError, SizeError
-from .measures import (TRIANGLE, SimplexVertices, ergodic_measure_count,
-                       hull_membership, transition_matrix)
+from .measures import (TRIANGLE, ergodic_measure_count, hull_membership,
+                       transition_matrix)
 from .record import record
 from .symbolic import _size_text, block_labels
 
@@ -545,12 +545,16 @@ def expected_block_fractions(model, q: int) -> tuple:
     They are then the fixed vector T v = b v, sum(v) = 1, of the level-q
     triangle matrix T with b = model.branching(q): the exact barycentric
     coordinates of the origin in the columns of T - b I, rounded once.
+    A model of more than one letter whose level-(q+1) matrix differs from
+    T fails that contract and raises a domain error.
     """
     b = model.branching(q)
-    columns = zip(*transition_matrix(model, q, TRIANGLE).ints)
-    shifted = SimplexVertices(q, q + 1, tuple(
-        tuple(x - b * (i == j) for i, x in enumerate(col))
-        for j, col in enumerate(columns)))
+    ints = transition_matrix(model, q, TRIANGLE).ints
+    if model.r > 1 and transition_matrix(model, q + 1, TRIANGLE).ints != ints:
+        raise DomainError(f"the level-{q} and level-{q + 1} matrices differ; "
+                          "block fractions need repeating level matrices")
+    shifted = tuple(tuple(x - b * (i == j) for i, x in enumerate(col))
+                    for j, col in enumerate(zip(*ints)))
     return tuple(float(x) for x in hull_membership(shifted, (0,) * model.r))
 
 
@@ -560,7 +564,7 @@ def garnett_compare(config: DiffusionConfig, results, q: int = 0,
     results, simulated under config, with expectations.
 
     Per-path fractions give a plain Monte Carlo band of 1.96 * sd / sqrt(P).
-    When the measure count is not one, or the model's cap stops the count,
+    When the measure count is not one, or a cap stops the count,
     there is no expected vector and the comparison columns are left empty
     with an explanatory note.
     """
@@ -592,7 +596,7 @@ def garnett_compare(config: DiffusionConfig, results, q: int = 0,
     try:
         count = ergodic_measure_count(model, scheme)
         certified, why = count.status == "stabilized", ""
-    except CapError as err:  # the model's max_depth ends the walk first
+    except (CapError, SizeError) as err:  # max_depth or the matrix cap
         certified, why = False, f" ({err})"
     unique = certified and count.count == 1
     expected, note = None, ""

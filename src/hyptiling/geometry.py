@@ -3,9 +3,9 @@
 The prototile is the pentagon with vertices (0,1), (1/2,1), (1,1), (1,2),
 (0,2); its images under z -> 2**row * (z + col) tile the upper half plane in
 horizontal bands, one band per integer row, with the tile width doubling per
-row upward.  This module provides the affine maps and their dilation weight,
-exact tile addressing, triangular patches with their occurrence
-combinatorics, and the patch partition check.
+row upward.  This module provides the affine maps, exact tile addressing,
+triangular patches with their occurrence combinatorics, and the patch
+partition check.
 """
 
 from __future__ import annotations
@@ -33,32 +33,6 @@ class AffineMap:
         if self.a <= 0:
             raise DomainError(f"dilation coefficient must be positive, got {self.a}")
 
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other: z -> a1*(a2 z + b2) + b1."""
-        return AffineMap(self.a * other.a, self.a * other.b + self.b)
-
-    def __matmul__(self, other):
-        return self.compose(other)
-
-    def inverse(self) -> "AffineMap":
-        return AffineMap(1 / self.a, -self.b / self.a)
-
-    def power(self, n: int) -> "AffineMap":
-        result = identity_map()
-        base = self if n >= 0 else self.inverse()
-        for _ in range(abs(n)):
-            result = base.compose(result)
-        return result
-
-
-def identity_map() -> AffineMap:
-    return AffineMap(Fraction(1), Fraction(0))
-
-
-def alpha(g: AffineMap) -> Fraction:
-    """Dilation coefficient; multiplicative under composition."""
-    return g.a
-
 
 # ---------------------------------------------------------------------------
 # Tiles
@@ -75,16 +49,6 @@ class TileAddress:
         """(x0, x1, y0, y1) as exact fractions."""
         h = pow2(self.row)
         return (self.col * h, (self.col + 1) * h, h, 2 * h)
-
-    def vertices(self) -> tuple:
-        """The five pentagon corners, counterclockwise from the lower left.
-
-        The bottom edge carries a midpoint vertex: it abuts two tiles of the
-        half-width row below.
-        """
-        x0, x1, y0, y1 = self.region()
-        xm = (x0 + x1) / 2
-        return ((x0, y0), (xm, y0), (x1, y0), (x1, y1), (x0, y1))
 
 
 def tile_containing_point(x: float, y: float) -> TileAddress:
@@ -119,26 +83,11 @@ class Patch:
         if not self.word:
             raise DomainError("a patch needs a nonempty word")
 
-    @property
-    def depth(self) -> int:
-        return len(self.word)
-
     def spans(self):
         """Yield (row, first_col, end_col, color) per depth, apex first."""
         row, col = self.apex.row, self.apex.col
         for j, color in enumerate(self.word):
             yield row - j, col << j, (col + 1) << j, color
-
-    def tiles(self):
-        """Yield (TileAddress, color) over the whole patch, apex first."""
-        for row, first, end, color in self.spans():
-            yield from ((TileAddress(row, col), color) for col in range(first, end))
-
-    def region(self) -> tuple:
-        """Bounding (x0, x1, y0, y1): each depth spans the apex x-extent."""
-        x0, x1, _, y1 = self.apex.region()
-        y0 = pow2(self.apex.row - self.depth + 1)
-        return (x0, x1, y0, y1)
 
 
 @record

@@ -196,7 +196,7 @@ def map_rect(g: AffineMap, rect) -> tuple:
 @record
 class TransportCheck:
     lhs: tuple  # exact (linear, ratio) for mass(g . rect)
-    rhs: tuple  # exact (linear, ratio) for alpha(g) * mass(rect)
+    rhs: tuple  # exact (linear, ratio) for g.a * mass(rect)
     alpha: Fraction
     equal: bool
 

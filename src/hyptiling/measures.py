@@ -26,6 +26,7 @@ from .errors import (
     DegeneracyError,
     DomainError,
     InconclusiveError,
+    SizeError,
     UnsupportedSchemeError,
 )
 from .exact import decimal_string, log_ratio, reduce_dyadic, scalar_to_json, to_float
@@ -39,12 +40,19 @@ SCHEMES = (TRIANGLE, PAPER)
 #: Entries above this many bits abort deep compositions instead of thrashing.
 BIT_BUDGET = 10**6
 
+#: Entries one r x r matrix may hold, so r <= 256.
+MAX_MATRIX_ENTRIES = 2**16
 
-def _require_scheme(scheme: str):
+
+def _require_matrices(model, scheme: str):
+    """A known scheme, and r x r matrices within MAX_MATRIX_ENTRIES."""
     if scheme not in SCHEMES:
         raise UnsupportedSchemeError(
             f"unknown scheme {scheme!r}; expected one of {SCHEMES}"
         )
+    if model.r**2 > MAX_MATRIX_ENTRIES:
+        raise SizeError(f"{model.r} x {model.r} matrices hold {model.r**2} "
+                        f"entries, over the cap {MAX_MATRIX_ENTRIES}")
 
 
 @record
@@ -99,7 +107,7 @@ class TransitionMatrix:
 
 def transition_matrix(model, q: int, scheme: str = TRIANGLE) -> TransitionMatrix:
     """The matrix carrying level-(q+1) masses down to level q."""
-    _require_scheme(scheme)
+    _require_matrices(model, scheme)
     if scheme == TRIANGLE:
         if q < 0:
             raise DomainError(f"triangle matrices need level >= 0, got {q}")
@@ -154,7 +162,7 @@ def compose_range(model, scheme: str, q_from: int,
     An empty range gives the identity.  Aborts with a budget error once any
     reduced entry outgrows BIT_BUDGET bits.
     """
-    _require_scheme(scheme)
+    _require_matrices(model, scheme)
     if q_from > q_to:
         raise DomainError(f"reversed level range [{q_from}, {q_to})")
     identity = tuple(tuple(int(i == j) for j in range(model.r))
@@ -173,15 +181,6 @@ def compose_range(model, scheme: str, q_from: int,
 # Simplices and the Hilbert metric
 
 
-@record
-class SimplexVertices:
-    """Images of the level-m unit faces inside the level-n simplex."""
-
-    base_level: int
-    depth: int
-    vertices: tuple  # tuple of tuples of Fraction, each summing to 1
-
-
 def _vertex(ray) -> tuple:
     """The point of the simplex on the ray of a nonnegative integer vector."""
     total = sum(ray)
@@ -190,17 +189,13 @@ def _vertex(ray) -> tuple:
     return tuple(Fraction(x, total) for x in ray)
 
 
-def nested_simplex(model, scheme: str, n: int, m: int) -> SimplexVertices:
-    """Vertices of the depth-m simplex seen at level n: normalized columns
-    of the exact product of matrices n .. m-1."""
+def nested_simplex(model, scheme: str, n: int, m: int) -> tuple:
+    """Exact vertices of the depth-m simplex seen at level n: normalized
+    columns of the exact product of matrices n .. m-1."""
     if m < n:
         raise DomainError(f"depth {m} below base level {n}")
     product = compose_range(model, scheme, n, m)
-    return SimplexVertices(
-        base_level=n,
-        depth=m,
-        vertices=tuple(_vertex(col) for col in zip(*product.ints)),
-    )
+    return tuple(_vertex(col) for col in zip(*product.ints))
 
 
 def projective_distance(vx, vy) -> float:
@@ -393,7 +388,7 @@ def ergodic_measure_count(model, scheme: str = TRIANGLE,
     consecutive depths produce the same cluster count with every matched
     vertex within the tolerance; otherwise the result is inconclusive.
     """
-    _require_scheme(scheme)
+    _require_matrices(model, scheme)
     if max_depth < 3:
         raise DomainError("max_depth leaves no room for a consecutive-depth pair")
     if not (0 <= tolerance < math.inf):
@@ -434,13 +429,12 @@ def ergodic_measure_count(model, scheme: str = TRIANGLE,
     )
 
 
-def hull_membership(outer: SimplexVertices, point) -> tuple:
-    """Exact barycentric coordinates of a point in the outer vertex hull.
+def hull_membership(verts, point) -> tuple:
+    """Exact barycentric coordinates of a point in the hull of the vertices.
 
     Solves the linear system over Fractions; membership holds iff every
     coordinate is nonnegative (they sum to 1 automatically for simplex data).
     """
-    verts = outer.vertices
     r = len(verts)
     vec = [Fraction(v) for v in point]
     if len(vec) != r:
@@ -477,9 +471,9 @@ def hull_membership(outer: SimplexVertices, point) -> tuple:
     return tuple(coords)
 
 
-def hull_contains(outer: SimplexVertices, inner: SimplexVertices) -> bool:
-    """Exact check that every inner vertex lies in the outer hull."""
-    for vertex in inner.vertices:
+def hull_contains(outer, inner) -> bool:
+    """Exact check that every inner vertex lies in the outer vertices' hull."""
+    for vertex in inner:
         coords = hull_membership(outer, vertex)
         if any(c < 0 for c in coords):
             return False

@@ -130,15 +130,18 @@ def word_from_str(text: str) -> tuple:
 
 
 def partition_by_tiles(apex_row: int, apex_cols: range, depth: int) -> dict:
-    """`patch_partition_check` one tile at a time: the tiles of every
-    `Patch.tiles()` against the expected tile set of the slab."""
+    """`patch_partition_check` one tile at a time: every patch's
+    `Patch.spans()`, expanded into tiles, against the expected tile set of
+    the slab."""
     if depth < 1:
         raise DomainError("depth must be >= 1")
     # Tiles are keyed by their (row, col) ints: tuples hash and compare in C.
     covered = [
-        (tile.row, tile.col)
+        (row, col)
         for apex_col in apex_cols
-        for tile, _ in Patch((1,) * depth, TileAddress(apex_row, apex_col)).tiles()
+        for row, first, end, _ in Patch((1,) * depth,
+                                        TileAddress(apex_row, apex_col)).spans()
+        for col in range(first, end)
     ]
     seen = set(covered)
     doubled = len(covered) - len(seen)

@@ -680,6 +680,61 @@ class TestDiffuse:
         assert stdout == "" and "no complete path took a step" in err
 
 
+class TestSizeCaps:
+    """r x r matrices stop at r = 256 and `--level` at 10^4, with exit 5
+    before anything that grows with them is built."""
+
+    @pytest.mark.parametrize("command", [
+        ["matrices", "--level", "1"], ["matrices", "--from", "2", "--to", "2"],
+        ["measures"], ["certify", "--from", "1", "--to", "2"],
+    ], ids=["matrices-level", "matrices-empty-range", "measures", "certify"])
+    def test_matrix_cap_exits_before_any_matrix(self, monkeypatch, command):
+        calls = []
+        monkeypatch.setattr("hyptiling.ToeplitzModel.children_count_vector",
+                            lambda *args: calls.append(args))
+        code, out, err = run([*command, "--model", "toeplitz", "--r", "257"])
+        assert code == 5
+        assert_short_error(out, err)
+        assert "257 x 257 matrices" in err and calls == []
+
+    def test_matrix_cap_keeps_the_diffusion_paths(self):
+        code, payload = run_json(["diffuse", "--model", "toeplitz", "--r", "257",
+                                  "--paths", "2", "--horizon", "1"])
+        assert code == 0
+        occupancy = payload["occupancy"]
+        assert occupancy["complete_paths"] == 2
+        assert occupancy["unique_measure"] is False
+        assert occupancy["note"] == (
+            "measure count not certified (257 x 257 matrices hold 66049 "
+            "entries, over the cap 65536); no expected fractions")
+        assert [row["expected"] for row in occupancy["labels"]] == [None] * 257
+
+    def test_matrix_at_the_cap(self, tmp_path):
+        out = tmp_path / "matrix.json"
+        code, stdout, _ = run(["matrices", "--model", "toeplitz", "--r", "256",
+                               "--level", "1", "--out", str(out)])
+        assert code == 0 and stdout == ""
+        matrix = json.loads(out.read_text())["schemes"]["triangle"]["matrix"]
+        assert (matrix["rows"], len(matrix["entries"])) == (256, 256)
+
+    @pytest.mark.parametrize("command, first_call", [
+        (["atlas", "--letter", "1"], "atlas_words"),
+        (["matrices"], "transition_matrix"),
+        (["frequencies"], "ergodic_measure_count"),
+        (["diffuse"], "run_paths"),
+    ], ids=["atlas", "matrices", "frequencies", "diffuse"])
+    def test_level_cap_exits_before_any_library_call(self, monkeypatch, command,
+                                                     first_call):
+        calls = []
+        monkeypatch.setattr(f"hyptiling.cli.{first_call}",
+                            lambda *args, **kwargs: calls.append(args))
+        code, out, err = run([*command, "--model", "substitution",
+                              "--level", "10001"])
+        assert code == 5
+        assert_short_error(out, err)
+        assert "--level 10001 is over the cap 10000" in err and calls == []
+
+
 class TestRender:
     def test_basic_window(self, tmp_path):
         out = tmp_path / "tiles.svg"

@@ -436,6 +436,11 @@ class TestExpectedFractions:
         for q in range(3):
             assert expected_block_fractions(one, q) == (1.0,)
 
+    def test_changing_level_matrices_are_rejected(self):
+        for q in (0, 1):
+            with pytest.raises(DomainError, match="matrices differ"):
+                expected_block_fractions(ToeplitzModel.of_rank(2), q)
+
     @given(model=fixed_point_models(), q=st.integers(0, 1))
     @settings(max_examples=40, deadline=None)
     def test_fixed_vector_is_the_deepened_limit(self, model, q):

@@ -16,8 +16,6 @@ from hyptiling import (
     SubstitutionModel,
     TileAddress,
     ToeplitzModel,
-    alpha,
-    identity_map,
     occurrence_classes,
     patch_partition_check,
     tile_containing_point,
@@ -27,31 +25,11 @@ from oracles import partition_by_tiles
 R = AffineMap(2, 0)  # z -> 2z, one row up
 S = AffineMap(1, 1)  # z -> z + 1, one tile right
 
-dyadic_scale = st.integers(-8, 8).map(lambda k: Fraction(2) ** k)
-dyadic_offset = st.integers(-64, 64).map(lambda n: Fraction(n, 16))
-
 
 class TestAffineMaps:
     def test_generators(self):
         assert (R.a, R.b) == (2, 0)
         assert (S.a, S.b) == (1, 1)
-        assert identity_map() == AffineMap(1, 0)
-
-    def test_composition_order(self):
-        rs = R.compose(S)  # z -> 2(z + 1)
-        assert (rs.a, rs.b) == (2, 2)
-        sr = S.compose(R)  # z -> 2z + 1
-        assert (sr.a, sr.b) == (2, 1)
-        assert R @ S == rs
-
-    def test_inverse_and_power(self):
-        g = R.compose(S)
-        gi = g.inverse()
-        assert gi.compose(g) == identity_map()
-        assert g.compose(gi) == identity_map()
-        assert R.power(3) == AffineMap(8, 0)
-        assert S.power(-2) == AffineMap(1, -2)
-        assert g.power(0) == identity_map()
 
     def test_positive_dilation_required(self):
         with pytest.raises(DomainError):
@@ -59,47 +37,8 @@ class TestAffineMaps:
         with pytest.raises(DomainError):
             AffineMap(-2, 0)
 
-    def test_alpha_values(self):
-        assert alpha(R) == 2
-        assert alpha(S) == 1
-        assert alpha(identity_map()) == 1
-        assert alpha(AffineMap(Fraction(3, 4), 5)) == Fraction(3, 4)
-
-    @given(a1=dyadic_scale, b1=dyadic_offset, a2=dyadic_scale, b2=dyadic_offset)
-    @settings(max_examples=50, deadline=None)
-    def test_alpha_is_multiplicative(self, a1, b1, a2, b2):
-        g, h = AffineMap(a1, b1), AffineMap(a2, b2)
-        assert alpha(g.compose(h)) == alpha(g) * alpha(h)
-
-    @given(a=dyadic_scale, b=dyadic_offset, n=st.integers(-5, 5))
-    @settings(max_examples=50, deadline=None)
-    def test_power_matches_repeated_composition(self, a, b, n):
-        g = AffineMap(a, b)
-        expected = identity_map()
-        step = g if n >= 0 else g.inverse()
-        for _ in range(abs(n)):
-            expected = step.compose(expected)
-        assert g.power(n) == expected
-
 
 class TestTiles:
-    def test_prototile_vertices(self):
-        assert TileAddress(0, 0).vertices() == (
-            (0, 1), (Fraction(1, 2), 1), (1, 1), (1, 2), (0, 2),
-        )
-
-    def test_neighbor_vertices(self):
-        assert TileAddress(1, 0).vertices() == (
-            (0, 2), (1, 2), (2, 2), (2, 4), (0, 4),
-        )
-        assert TileAddress(0, 1).vertices() == (
-            (1, 1), (Fraction(3, 2), 1), (2, 1), (2, 2), (1, 2),
-        )
-        x0, x1, y0, y1 = TileAddress(0, 1).region()
-        assert TileAddress(0, 1).vertices() == (
-            (x0, y0), ((x0 + x1) / 2, y0), (x1, y0), (x1, y1), (x0, y1),
-        )
-
     def test_region_uses_exact_arithmetic(self):
         x0, x1, y0, y1 = TileAddress(-3, 5).region()
         assert (x0, x1, y0, y1) == (
@@ -133,45 +72,38 @@ class TestTiles:
 class TestPatches:
     def test_small_patch(self):
         patch = Patch(word=(1, 2), apex=TileAddress(2, 1))
-        assert patch.depth == 2
-        tiles = list(patch.tiles())
-        assert tiles == [
-            (TileAddress(2, 1), 1),
-            (TileAddress(1, 2), 2),
-            (TileAddress(1, 3), 2),
-        ]
-        assert patch.region() == (4, 8, 2, 8)
+        assert list(patch.spans()) == [(2, 1, 2, 1), (1, 2, 4, 2)]
 
     def test_tile_count_matches_enumeration(self):
         patch = Patch(word=(1, 2, 1, 2, 2), apex=TileAddress(0, -3))
-        tiles = list(patch.tiles())
-        assert len(tiles) == 31
-        assert len({t for t, _ in tiles}) == 31  # no repeats
+        assert sum(end - first for _, first, end, _ in patch.spans()) == 31
 
     def test_rows_shrink_downward(self):
         patch = Patch(word=(1, 1, 1), apex=TileAddress(5, 2))
-        rows = [t.row for t, _ in patch.tiles()]
-        assert rows == [5, 4, 4, 3, 3, 3, 3]
+        assert [(row, end - first) for row, first, end, _ in patch.spans()] == [
+            (5, 1), (4, 2), (3, 4)]
 
     def test_tiles_expand_spans(self):
+        # each span holds the two half-width tiles below each tile above it
         patch = Patch(word=(2, 1, 1, 2), apex=TileAddress(-1, -3))
-        assert list(patch.tiles()) == [
-            (TileAddress(row, col), color)
-            for row, first, end, color in patch.spans()
-            for col in range(first, end)
-        ]
-        assert list(patch.spans())[:2] == [(-1, -3, -2, 2), (-2, -6, -4, 1)]
+        spans = list(patch.spans())
+        assert spans[:2] == [(-1, -3, -2, 2), (-2, -6, -4, 1)]
+        for (row, first, end, _), below in zip(spans, spans[1:]):
+            assert below[:3] == (row - 1, 2 * first, 2 * end)
 
     def test_empty_word_rejected(self):
         with pytest.raises(DomainError):
             Patch(word=(), apex=TileAddress(0, 0))
 
     def test_tiles_cover_region_exactly(self):
+        # the tiles fill the box of the apex's x-extent over the patch's rows
         patch = Patch(word=(2, 1, 2, 1), apex=TileAddress(3, 0))
-        x0, x1, y0, y1 = patch.region()
+        x0, x1, _, y1 = patch.apex.region()
+        y0 = Fraction(2) ** (patch.apex.row - len(patch.word) + 1)
         area = sum(
             (r[1] - r[0]) * (r[3] - r[2])
-            for r in (t.region() for t, _ in patch.tiles())
+            for row, first, end, _ in patch.spans()
+            for r in (TileAddress(row, col).region() for col in range(first, end))
         )
         assert area == (x1 - x0) * (y1 - y0)
 

@@ -17,7 +17,6 @@ from hyptiling import (
     BoundaryAtoms,
     DomainError,
     QuadratureError,
-    alpha,
     boundary_recover,
     cylinder_mass_exact,
     herglotz_evaluate,
@@ -242,7 +241,7 @@ class TestTransport:
         coeff = Fraction(cnum, 3)
         check = transport_scaling_check(coeff, rect, g)
         assert check.equal
-        assert check.alpha == alpha(g)
+        assert check.alpha == g.a
 
 
 def test_import_leaves_scipy_unloaded():

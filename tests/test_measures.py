@@ -16,7 +16,6 @@ from hyptiling import (
     DegeneracyError,
     DomainError,
     InconclusiveError,
-    SimplexVertices,
     SubstitutionModel,
     ToeplitzModel,
     TransitionMatrix,
@@ -176,19 +175,19 @@ class TestComposition:
 class TestNestedSimplices:
     def test_first_levels(self):
         s = nested_simplex(SUB, TRIANGLE, 1, 2)
-        assert s.vertices == (
+        assert s == (
             (Fraction(2, 3), Fraction(1, 3)),
             (Fraction(1, 3), Fraction(2, 3)),
         )
         s3 = nested_simplex(SUB, TRIANGLE, 1, 3)
-        assert s3.vertices == (
+        assert s3 == (
             (Fraction(5, 9), Fraction(4, 9)),
             (Fraction(4, 9), Fraction(5, 9)),
         )
 
     def test_toeplitz_boundary_vertex(self):
         s = nested_simplex(T2, TRIANGLE, 1, 2)
-        assert s.vertices == (
+        assert s == (
             (Fraction(1, 3), Fraction(2, 3)),
             (Fraction(0), Fraction(1)),
         )
@@ -196,7 +195,7 @@ class TestNestedSimplices:
     def test_vertices_are_stochastic(self):
         for m in (2, 3, 5):
             s = nested_simplex(T3, TRIANGLE, 1, m)
-            for v in s.vertices:
+            for v in s:
                 assert sum(v) == 1
                 assert all(x >= 0 for x in v)
 
@@ -366,13 +365,13 @@ class TestHulls:
         outer = nested_simplex(SUB, TRIANGLE, 1, 2)
         # the barycenter of the outer vertices has coordinates (1/2, 1/2)
         mid = tuple(
-            (a + b) / 2 for a, b in zip(outer.vertices[0], outer.vertices[1])
+            (a + b) / 2 for a, b in zip(outer[0], outer[1])
         )
         coords = hull_membership(outer, mid)
         assert coords == (Fraction(1, 2), Fraction(1, 2))
 
     def test_integer_vertices_stay_exact(self):
-        unit = SimplexVertices(0, 1, ((1, 0), (0, 1)))
+        unit = ((1, 0), (0, 1))
         for point in ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 2),) * 2):
             coords = hull_membership(unit, point)
             assert coords == point
