@@ -24,9 +24,9 @@ from .measures import (
     projective_distance, transition_matrix,
 )
 from .diffusion import (
-    DiffusionConfig, LeafState, PathResult, default_start,
-    expected_block_fractions, garnett_compare, height_law_test,
-    log_height_samples, log_height_stats, run_paths, simulate_path,
+    DiffusionConfig, LeafState, PathResult, expected_block_fractions,
+    garnett_compare, height_law_test, log_height_samples, log_height_stats,
+    run_paths, simulate_path,
 )
 from .render import render_svg
 from .symbolic import (
@@ -52,7 +52,7 @@ __all__ = [
     "hull_contains", "hull_membership", "mass_conservation_check",
     "measure_frequencies", "nested_simplex", "projective_diameter",
     "projective_distance", "transition_matrix", "DiffusionConfig", "LeafState",
-    "PathResult", "default_start", "expected_block_fractions",
+    "PathResult", "expected_block_fractions",
     "garnett_compare", "height_law_test", "log_height_samples",
     "log_height_stats", "run_paths", "simulate_path", "render_svg",
     "AtlasWord", "SubstitutionModel", "ToeplitzModel", "atlas_words",

@@ -137,9 +137,15 @@ def _write_text(text, out_path):
 #: level-12 words of the standard substitution, 1,062,882 letters, fit.
 _ATLAS_LETTERS = 2 * DEFAULT_MATERIALIZE_LIMIT
 
-#: The largest `--level`, and the most levels one `certify` run may report:
-#: output, memory and time grow with them.
+#: The largest `--level`, and the most levels one `--from`/`--to` range of
+#: `matrices` or `certify` may span: output, memory and time grow with them.
 _LEVELS = 10**4
+
+
+def _check_levels(ns):
+    if ns.stop - ns.start > _LEVELS:
+        raise SizeError(f"{_size_text(ns.stop - ns.start)} levels are over the "
+                        f"cap {_LEVELS}")
 
 
 @_sub("gen", _model_opts() + [
@@ -205,6 +211,8 @@ def _cmd_matrices(ns) -> int:
     given = (ns.start is not None) + (ns.stop is not None)
     if given != (0 if has_level else 2):
         raise _CliUsage("give either --level or both --from and --to")
+    if not has_level:
+        _check_levels(ns)
     schemes = ("triangle", "paper") if ns.scheme == "both" else (ns.scheme,)
     out = {}
     for scheme in schemes:
@@ -253,9 +261,7 @@ def _cmd_certify(ns) -> int:
     model = _build_model(ns)
     if ns.stop <= ns.start:
         raise _CliUsage("--to must exceed --from")
-    if ns.stop - ns.start > _LEVELS:
-        raise SizeError(f"{_size_text(ns.stop - ns.start)} levels are over the "
-                        f"cap {_LEVELS}")
+    _check_levels(ns)
     report = contraction_certificate(model, ns.scheme, range(ns.start, ns.stop))
     payload = {"model": _model_echo(model)}
     payload.update(report.to_json())

@@ -34,6 +34,8 @@ from .symbolic import _size_text, block_labels
 LN2 = math.log(2.0)
 
 MAX_STEPS = 10**8
+#: Paths of one run; `run_paths` keeps every result (about 0.7 KB each).
+MAX_PATHS = 10**5
 #: Trace points kept over all paths of a run (about 160 bytes each).
 MAX_TRACE_POINTS = 10**6
 
@@ -57,6 +59,8 @@ class DiffusionConfig:
             raise DomainError(f"horizon {self.horizon} must be nonnegative")
         if self.paths < 1:
             raise DomainError(f"need at least one path, got {self.paths}")
+        if self.seed < 0:
+            raise DomainError(f"seed {self.seed} must be nonnegative")
         if self.trace_stride < 0:
             raise DomainError("trace stride must be nonnegative")
         if self.horizon / self.dt == math.inf:
@@ -73,6 +77,9 @@ class DiffusionConfig:
                     f"{_size_text(points)} trace points exceeds the "
                     f"{MAX_TRACE_POINTS} point cap; raise the trace stride"
                 )
+        if self.paths > MAX_PATHS:
+            raise SizeError(f"{_size_text(self.paths)} paths exceeds the "
+                            f"{MAX_PATHS} path cap")
 
     @property
     def n_steps(self) -> int:
@@ -98,10 +105,6 @@ class LeafState:
             )
         if not (0.0 <= self.x_frac < 1.0):
             raise DomainError(f"tile offset {self.x_frac} outside [0, 1)")
-
-
-def default_start() -> LeafState:
-    return LeafState(u=math.log(1.5), row=0, col=0, x_frac=0.5)
 
 
 @record
@@ -188,7 +191,7 @@ def simulate_path(config: DiffusionConfig, start: LeafState = None,
     if mode not in ("fast", "full"):
         raise DomainError(f"unknown mode {mode!r}")
     if start is None:
-        start = default_start()
+        start = LeafState(u=math.log(1.5), row=0, col=0, x_frac=0.5)
     walk = _walk_fast if mode == "fast" else _walk_full
     fields = walk(config, start, path_index)
     occupied = fields["row_steps"]

@@ -144,7 +144,8 @@ def render_svg(model, rows, x_range, out_path, overlay_levels=(),
         fill = UNCOLORED
         if model is not None:
             try:
-                fill = DEFAULT_PALETTE[(model.letter(row) - 1) % len(DEFAULT_PALETTE)]
+                letter = model.block_letter(0, row)
+                fill = DEFAULT_PALETTE[(letter - 1) % len(DEFAULT_PALETTE)]
             except CapError:
                 pass
         bands.append((width, outline, n_lo, n_hi, fill))

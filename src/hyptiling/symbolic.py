@@ -9,10 +9,10 @@ Two families are implemented behind one model interface:
 
 Both sequences decompose, for every level q, into a bi-infinite concatenation
 of level-q words drawn from an atlas indexed by the alphabet.  The model
-interface exposes letters, level lengths, the label of the level-q word at a
-given block index, and the composition of a level-q word into level-(q-1)
-words.  Everything downstream (occurrence tables, transition matrices,
-frequencies) is driven by that interface.
+interface exposes level lengths, the label of the level-q word at a given
+block index (the letter, at level 0), and the composition of a level-q word
+into level-(q-1) words.  Everything downstream (occurrence tables,
+transition matrices, frequencies) is driven by that interface.
 """
 
 from __future__ import annotations
@@ -87,19 +87,14 @@ class ToeplitzModel:
             raise DomainError(f"step index must be >= 1, got {i}")
         return (i - 1) % self.r + 1
 
-    def period(self, i: int) -> int:
-        """p_i = 3**(1 + i(i-1)/2), which solves p_0 = 3, p_{i+1} = 3**i * p_i."""
-        if i < 0:
-            raise DomainError(f"period index must be >= 0, got {i}")
-        if i > self.max_depth:
-            raise CapError(f"period index {i} exceeds max_depth {self.max_depth}")
-        return 3 ** (1 + i * (i - 1) // 2)
-
     def level_length(self, q: int) -> int:
-        """Length of a level-q word: 1 at level 0, p_q above."""
+        """Length of a level-q word: 1 at level 0, p_q = 3**(1 + q(q-1)/2)
+        above, which solves p_0 = 3, p_{i+1} = 3**i * p_i."""
         if q < 0:
             raise DomainError(f"level must be >= 0, got {q}")
-        return 1 if q == 0 else self.period(q)
+        if q > self.max_depth:
+            raise CapError(f"period index {q} exceeds max_depth {self.max_depth}")
+        return 1 if q == 0 else 3 ** (1 + q * (q - 1) // 2)
 
     def branching(self, q: int) -> int:
         """Number of level-q words inside one level-(q+1) word: 3**q, and 3
@@ -130,9 +125,6 @@ class ToeplitzModel:
             f"{self.max_depth} filling steps; raise max_depth"
         )
 
-    def letter(self, position: int) -> Letter:
-        return self.block_letter(0, position)
-
     def children(self, q: int, letter: Letter) -> Word:
         """Level-(q-1) labels inside the level-q word `letter`, left to right.
 
@@ -140,41 +132,32 @@ class ToeplitzModel:
         repeats the word's own label.  The label None stands for a word not
         determined within max_depth, whose middle slots stay undetermined.
         """
-        if letter is not None:
-            self._check_letter(letter)
-        if q < 1:
-            raise DomainError("children are defined for levels >= 1")
-        b = self.branching(q - 1)
-        s = self.color(q)
+        b, s = self._rule(q, letter)
         return (s,) + (letter,) * (b - 2) + (s,)
 
     def child_at(self, q: int, letter: Letter, slot: int) -> Letter:
         """Label at one slot of `children(q, letter)`, with the same checks."""
-        if letter is not None:
-            self._check_letter(letter)
-        if q < 1:
-            raise DomainError("children are defined for levels >= 1")
-        b = self.branching(q - 1)
+        b, s = self._rule(q, letter)
         if not (0 <= slot < b):
             raise DomainError(f"slot {slot} outside 0..{b - 1}")
-        if slot == 0 or slot == b - 1:
-            return self.color(q)
-        return letter
+        return s if slot == 0 or slot == b - 1 else letter
 
     def children_count_vector(self, q: int, letter: Letter) -> tuple:
         """Multiplicity of each level-(q-1) label in the level-q word `letter`."""
-        self._check_letter(letter)
-        if q < 1:
-            raise DomainError("children are defined for levels >= 1")
-        b = self.branching(q - 1)
+        b, s = self._rule(q, letter)
         counts = [0] * self.r
-        counts[self.color(q) - 1] += 2
+        counts[s - 1] += 2
         counts[letter - 1] += b - 2
         return tuple(counts)
 
-    def _check_letter(self, letter: Letter):
-        if not (1 <= letter <= self.r):
+    def _rule(self, q: int, letter: Letter):
+        """The branching b_{q-1} and step color s_q that a level-q word of
+        `letter` (or None) is cut by, after the letter and level checks."""
+        if letter is not None and not (1 <= letter <= self.r):
             raise DomainError(f"letter {letter} outside 1..{self.r}")
+        if q < 1:
+            raise DomainError("children are defined for levels >= 1")
+        return self.branching(q - 1), self.color(q)
 
 
 @record
@@ -236,29 +219,26 @@ class SubstitutionModel:
     def branching(self, q: int) -> int:
         return self.length
 
-    def letter(self, position: int) -> Letter:
-        """Fixed-point letter at any integer position (negative included)."""
+    def block_letter(self, q: int, block: int) -> Letter:
+        """Level-q atlas labels along the sequence coincide with the letters:
+        the fixed-point letter at position `block` (negative included)."""
         length = self.length
-        if position >= 0:
+        if block >= 0:
             seed, span = 1, 1
-            while span <= position:
+            while span <= block:
                 span *= length
-            offset = position
+            offset = block
         else:
             seed, span = 2, 1
-            while span < -position:
+            while span < -block:
                 span *= length
-            offset = position + span
+            offset = block + span
         current = seed
         while span > 1:
             span //= length
             current = self.images[current - 1][offset // span]
             offset %= span
         return current
-
-    def block_letter(self, q: int, block: int) -> Letter:
-        """Level-q atlas labels along the sequence coincide with the letters."""
-        return self.letter(block)
 
     def children(self, q: int, letter: Letter) -> Word:
         if q < 1:
@@ -294,7 +274,7 @@ def window(model, start: int, stop: int) -> Word:
                         f"the cap {DEFAULT_MATERIALIZE_LIMIT}")
     letters, undetermined = _labels(model, 0, start, stop)
     if undetermined >= 0:
-        model.letter(start + undetermined)  # raises the cap error
+        model.block_letter(0, start + undetermined)  # raises the cap error
     return tuple(letters)
 
 
@@ -382,49 +362,33 @@ def _join(words, labels, size: int) -> bytes:
 
 @record
 class AtlasWord:
-    """Handle on the level-q atlas word with a given label.
+    """Handle on the level-q atlas, one word per letter.
 
-    Holds the word's length without materializing it; `word()` expands the
-    letters on request, up to a cap.
+    Holds the words' length without materializing any; `word()` expands the
+    letters of one word on request, up to a cap.
     """
 
     model: object
     q: int
-    letter: Letter
     length: int
 
-    def word(self, max_letters: int = DEFAULT_MATERIALIZE_LIMIT) -> Word:
-        """Materialize the full word; refuses above max_letters."""
+    def word(self, letter: Letter, max_letters: int = DEFAULT_MATERIALIZE_LIMIT) -> Word:
+        """Materialize the word of `letter`; refuses above max_letters."""
+        if not (1 <= letter <= self.model.r):
+            raise DomainError(f"letter {letter} outside 1..{self.model.r}")
         if self.length > max_letters:
             raise SizeError(
                 f"level-{self.q} word has {_size_text(self.length)} letters, "
                 f"over the cap {max_letters}"
             )
-        return tuple(_expand(self.model, self.q, (self.letter,), 0, 0, self.length)[0])
+        return tuple(_expand(self.model, self.q, (letter,), 0, 0, self.length)[0])
 
 
-@record
-class AtlasLevel:
-    q: int
-    length: int
-    model: object
-
-    @property
-    def r(self) -> int:
-        return self.model.r
-
-    def word(self, letter: Letter, max_letters: int = DEFAULT_MATERIALIZE_LIMIT) -> Word:
-        if not (1 <= letter <= self.r):
-            raise DomainError(f"letter {letter} outside 1..{self.r}")
-        handle = AtlasWord(model=self.model, q=self.q, letter=letter, length=self.length)
-        return handle.word(max_letters)
-
-
-def atlas_words(model, q: int) -> AtlasLevel:
-    """The level-q atlas; each `word` call builds the one handle it reads."""
+def atlas_words(model, q: int) -> AtlasWord:
+    """The level-q atlas of `model`."""
     if q < 0:
         raise DomainError(f"level must be >= 0, got {q}")
-    return AtlasLevel(q=q, length=model.level_length(q), model=model)
+    return AtlasWord(model=model, q=q, length=model.level_length(q))
 
 
 # ---------------------------------------------------------------------------

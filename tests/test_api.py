@@ -13,8 +13,7 @@ from hyptiling.diffusion import LeafState
 from hyptiling.geometry import AffineMap, OccurrenceClass, Patch, TileAddress
 from hyptiling.harmonic import BoundaryAtoms, TransportCheck
 from hyptiling.measures import TransitionMatrix
-from hyptiling.symbolic import (AtlasLevel, AtlasWord, SubstitutionModel,
-                                ToeplitzModel)
+from hyptiling.symbolic import AtlasWord, SubstitutionModel, ToeplitzModel
 
 # Names that only repeated a job another public name does, and names only
 # tests called (their reference routines live in tests/oracles.py).
@@ -26,7 +25,7 @@ DELETED = ("letter_counts", "limit_frequencies", "Occurrence",
            "suspension_project", "doubling_map", "shift_map",
            "herglotz_evaluator", "ToeplitzSpec", "SubstitutionRule",
            "rule_112_122", "as_model", "SimplexVertices", "identity_map",
-           "alpha")
+           "alpha", "AtlasLevel", "default_start")
 
 
 def test_every_listed_name_resolves():
@@ -48,8 +47,10 @@ def test_deleted_methods_and_fields_are_gone():
     assert not hasattr(ToeplitzModel, "block_letter_step")
     assert not hasattr(SubstitutionModel, "rule")
     assert SubstitutionModel.__match_args__ == ("images",)
-    assert not hasattr(AtlasLevel, "words")
-    assert "handles" not in AtlasLevel.__match_args__
+    for name in ("letter", "period", "_check_letter"):
+        assert not hasattr(ToeplitzModel, name), name
+    assert not hasattr(SubstitutionModel, "letter")
+    assert AtlasWord.__match_args__ == ("model", "q", "length")
     assert not hasattr(TransportCheck, "to_json")
     assert not hasattr(TransitionMatrix, "entry")
     assert not hasattr(TransitionMatrix, "column")
@@ -221,6 +222,56 @@ def test_every_public_name_has_a_reader():
             if node.name not in others | own | outside | set(UNREAD_KEPT):
                 unread.append(f"{stem}.{node.name}")
     assert unread == []
+
+
+def _chains(tree, roots):
+    """Dotted attribute chains, such as `symbolic.ToeplitzModel.of_rank`,
+    that start at one of the names `roots`; the longest chain of each run."""
+    inner = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in roots:
+            yield ".".join([node.id, *reversed(parts)])
+
+
+def test_benchmark_names_resolve():
+    """Every hyptiling name the benchmark reads, and every layer its tracer
+    wraps, exists; read from the sources with `ast`, without importing them."""
+    bench = pathlib.Path(hyptiling.__file__).parents[2] / "bench"
+    trees = {p.name: ast.parse(p.read_text()) for p in bench.glob("*.py")}
+    roots = {alias.name for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "hyptiling"
+             for alias in node.names}
+    assert {"diffusion", "geometry", "harmonic", "measures", "symbolic"} <= roots
+    chains = {c for tree in trees.values() for c in _chains(tree, roots)}
+    assert "symbolic.ToeplitzModel.of_rank" in chains
+    assert "measures.TRIANGLE" in chains
+    missing = []
+    for chain in sorted(chains):
+        value = importlib.import_module(f"hyptiling.{chain.split('.')[0]}")
+        for attr in chain.split(".")[1:]:
+            if not hasattr(value, attr):
+                missing.append(chain)
+                break
+            value = getattr(value, attr)
+    assert missing == []
+    layers = next(node.value for node in trees["spans.py"].body
+                  if isinstance(node, ast.Assign)
+                  and node.targets[0].id == "LAYER_CALLS")
+    assert layers.elts
+    for entry in layers.elts:
+        module_name, attr = (ast.literal_eval(e) for e in entry.elts[:2])
+        module = importlib.import_module(f"hyptiling.{module_name}")
+        owner, _, name = attr.rpartition(".")
+        # spans.instrument patches a method where its class defines it
+        space = vars(getattr(module, owner)) if owner else vars(module)
+        assert name in space, f"{module_name}.{attr}"
 
 
 @pytest.mark.parametrize("field", ["row_crossings", "row_steps", "trace"])

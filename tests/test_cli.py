@@ -581,6 +581,12 @@ class TestDiffuse:
         assert payload["occupancy"]["unique_measure"] is True
         assert len(payload["occupancy"]["labels"]) == 2
 
+    def test_negative_seed_is_a_domain_error(self):
+        code, out, err = run(["diffuse", "--model", "substitution",
+                              "--horizon", "1", "--seed", "-1"])
+        assert (code, out) == (3, "")
+        assert err == "error: seed -1 must be nonnegative\n"
+
     def test_few_paths_note_instead_of_stats(self):
         code, payload = run_json(
             ["diffuse", "--model", "substitution", "--dt", "0.01",
@@ -733,6 +739,35 @@ class TestSizeCaps:
         assert code == 5
         assert_short_error(out, err)
         assert "--level 10001 is over the cap 10000" in err and calls == []
+
+    def test_matrices_range_cap_exits_before_any_matrix(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("hyptiling.cli.compose_range",
+                            lambda *args: calls.append(args))
+        code, out, err = run(["matrices", "--model", "substitution",
+                              "--from", "0", "--to", "10001"])
+        assert code == 5
+        assert_short_error(out, err)
+        assert "10001 levels are over the cap 10000" in err and calls == []
+
+    def test_matrices_range_at_the_cap(self, tmp_path):
+        out = tmp_path / "product.json"
+        code, stdout, _ = run(["matrices", "--model", "substitution",
+                               "--from", "0", "--to", "10000", "--out", str(out)])
+        assert code == 0 and stdout == ""
+        matrix = json.loads(out.read_text())["schemes"]["triangle"]
+        assert matrix["range"] == [0, 10000]
+
+    def test_path_cap_exits_before_any_path(self, monkeypatch):
+        def no_path(*args, **kwargs):
+            raise AssertionError("a path ran")
+
+        monkeypatch.setattr("hyptiling.diffusion.simulate_path", no_path)
+        code, out, err = run(["diffuse", "--model", "substitution",
+                              "--paths", "100001", "--horizon", "0.001"])
+        assert code == 5
+        assert_short_error(out, err)
+        assert "100001 paths exceeds the 100000 path cap" in err
 
 
 class TestRender:

@@ -18,7 +18,6 @@ from hyptiling import (
     SizeError,
     SubstitutionModel,
     ToeplitzModel,
-    default_start,
     ergodic_measure_count,
     garnett_compare,
     height_law_test,
@@ -32,6 +31,7 @@ from hyptiling import diffusion
 from hyptiling.diffusion import (
     CHUNK,
     LN2,
+    MAX_PATHS,
     MAX_TRACE_POINTS,
     _noise,
     expected_block_fractions,
@@ -65,6 +65,8 @@ class TestConfig:
             DiffusionConfig(SUB, horizon=-1.0)
         with pytest.raises(DomainError):
             DiffusionConfig(SUB, paths=0)
+        with pytest.raises(DomainError, match="seed -1 must be nonnegative"):
+            DiffusionConfig(SUB, seed=-1)
         with pytest.raises(SizeError):
             DiffusionConfig(SUB, dt=1e-9, horizon=1000.0)
         with pytest.raises(SizeError, match="overflows the step count"):
@@ -83,6 +85,15 @@ class TestConfig:
         DiffusionConfig(SUB, trace_stride=200)  # 50 * 10,001 points
         DiffusionConfig(SUB, dt=1.0, horizon=1e7, trace_stride=0)
 
+    def test_path_cap(self, monkeypatch):
+        def no_path(*args, **kwargs):
+            raise AssertionError("a path ran")
+
+        monkeypatch.setattr(diffusion, "simulate_path", no_path)
+        with pytest.raises(SizeError, match="100001 paths exceeds the 100000"):
+            run_paths(DiffusionConfig(SUB, horizon=1e-3, paths=MAX_PATHS + 1))
+        assert DiffusionConfig(SUB, horizon=1e-3, paths=MAX_PATHS).paths == MAX_PATHS
+
     def test_model_is_stored_as_itself(self):
         model = ToeplitzModel.of_rank(2)
         assert DiffusionConfig(model).model is model
@@ -90,9 +101,9 @@ class TestConfig:
 
 class TestLeafState:
     def test_default_start(self):
-        s = default_start()
-        assert (s.row, s.col, s.x_frac) == (0, 0, 0.5)
-        assert s.u == math.log(1.5)
+        res = simulate_path(DiffusionConfig(SUB, horizon=0.0), mode="full")
+        assert res.u0 == res.u_final == math.log(1.5)
+        assert (res.row_final, res.col_final, res.x_frac_final) == (0, 0, 0.5)
 
     def test_row_consistency_enforced(self):
         with pytest.raises(DomainError):
@@ -318,7 +329,8 @@ class TestOccupancy:
         assert sum(by_letter.values()) == res.steps_used
         manual = {}
         for row, steps in res.row_steps.items():
-            manual[SUB.letter(row)] = manual.get(SUB.letter(row), 0) + steps
+            label = SUB.block_letter(0, row)
+            manual[label] = manual.get(label, 0) + steps
         assert by_letter == manual
 
     def test_level_zero_blocks_are_letters(self):

@@ -24,7 +24,7 @@ from hyptiling import (
     window,
     word_to_str,
 )
-from hyptiling.symbolic import DEFAULT_MATERIALIZE_LIMIT, AtlasWord, block_labels
+from hyptiling.symbolic import DEFAULT_MATERIALIZE_LIMIT, block_labels
 from oracles import (AlignmentError, block_decompose, letter_at, substitution_image,
                      word_from_str)
 
@@ -64,27 +64,27 @@ def brute_force_filling(r: int, lo: int, hi: int, max_step: int = 6) -> dict:
 class TestPeriods:
     def test_frozen_values(self):
         model = ToeplitzModel(r=2)
-        assert [model.period(i) for i in range(6)] == [
-            3, 3, 9, 81, 2187, 177147,
+        assert [model.level_length(i) for i in range(6)] == [
+            1, 3, 9, 81, 2187, 177147,
         ]
 
     def test_recurrence(self):
         model = ToeplitzModel(r=3, max_depth=12)
-        for i in range(12):
-            assert model.period(i + 1) == 3**i * model.period(i)
+        for i in range(1, 12):
+            assert model.level_length(i + 1) == 3**i * model.level_length(i)
 
     def test_depth_cap(self):
         model = ToeplitzModel(r=2, max_depth=4)
-        model.period(4)
-        with pytest.raises(CapError):
-            model.period(5)
+        model.level_length(4)
+        with pytest.raises(CapError, match="period index 5 exceeds"):
+            model.level_length(5)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 8])
     def test_branching_is_the_period_ratio(self, r):
         model = ToeplitzModel(r=r, max_depth=12)
         for q in range(12):
             assert model.branching(q) == (
-                model.period(q + 1) // model.level_length(q))
+                model.level_length(q + 1) // model.level_length(q))
 
     def test_branching_keeps_its_errors(self):
         model = ToeplitzModel(r=2, max_depth=4)
@@ -101,10 +101,10 @@ class TestPeriods:
 class TestToeplitzLetters:
     def test_frozen_positions(self):
         model = ToeplitzModel(r=2)
-        assert model.letter(0) == 1
-        assert model.letter(1) == 2
-        assert model.letter(4) == 1
-        assert model.letter(-1) == 1
+        assert model.block_letter(0, 0) == 1
+        assert model.block_letter(0, 1) == 2
+        assert model.block_letter(0, 4) == 1
+        assert model.block_letter(0, -1) == 1
 
     def test_frozen_windows(self):
         assert window(ToeplitzModel.of_rank(2), 0, 9) == (1, 2, 1, 1, 1, 1, 1, 2, 1)
@@ -133,14 +133,14 @@ class TestToeplitzLetters:
 
     def test_cap_error_mentions_depth(self):
         model = ToeplitzModel.of_rank(2, max_depth=1)
-        assert model.letter(0) == 1
+        assert model.block_letter(0, 0) == 1
         with pytest.raises(CapError, match="max_depth"):
-            model.letter(1)
+            model.block_letter(0, 1)
 
     def test_letter_matches_window(self):
         model = ToeplitzModel.of_rank(3)
         letters = window(model, -30, 30)
-        assert letters == tuple(model.letter(q) for q in range(-30, 30))
+        assert letters == tuple(model.block_letter(0, q) for q in range(-30, 30))
 
     @given(start=st.integers(-3000, 3000), length=st.integers(0, 50),
            r=st.integers(1, 4))
@@ -150,7 +150,8 @@ class TestToeplitzLetters:
         letters = window(model, start, start + length)
         assert len(letters) == length
         assert all(1 <= x <= r for x in letters)
-        assert letters == tuple(model.letter(q) for q in range(start, start + length))
+        assert letters == tuple(model.block_letter(0, q)
+                                for q in range(start, start + length))
 
     def test_reversed_window_rejected(self):
         with pytest.raises(DomainError):
@@ -221,13 +222,14 @@ class TestSubstitution:
     def test_model_letters_match_fixed_window(self):
         model = SubstitutionModel.standard()
         fresh = SubstitutionModel(((1, 1, 2), (1, 2, 2)))
-        assert window(model, -9, 9) == tuple(fresh.letter(p) for p in range(-9, 9))
+        assert window(model, -9, 9) == tuple(fresh.block_letter(0, p)
+                                             for p in range(-9, 9))
 
 
 def _per_letter(model, start, stop):
     """Reference window: one positional query per letter."""
     try:
-        return tuple(model.letter(p) for p in range(start, stop))
+        return tuple(model.block_letter(0, p) for p in range(start, stop))
     except CapError as exc:
         return str(exc)
 
@@ -349,7 +351,7 @@ class TestExpansionRoutes:
                 with pytest.raises(CapError) as exc:
                     window(model, start, stop)
                 with pytest.raises(CapError, match=re.escape(str(exc.value))):
-                    model.letter(start + expected.index(None))
+                    model.block_letter(0, start + expected.index(None))
             else:
                 assert window(model, start, stop) == expected
 
@@ -362,9 +364,8 @@ class TestExpansionRoutes:
             assume(False)
         assume(length <= 3000)
         letter = data.draw(st.sampled_from([1, model.r]) | st.integers(1, model.r))
-        handle = AtlasWord(model=model, q=q, letter=letter, length=length)
-        assert handle.word() == tuple(letter_at(model, q, letter, k)
-                                      for k in range(length))
+        expected = tuple(letter_at(model, q, letter, k) for k in range(length))
+        assert atlas_words(model, q).word(letter) == expected
 
     def test_window_peak_allocation_is_near_the_result(self):
         model = SubstitutionModel.standard()
@@ -389,9 +390,8 @@ class TestAtlas:
             length = None
         assume(length is not None and length <= 5000)
         letter = data.draw(st.integers(1, model.r))
-        handle = AtlasWord(model=model, q=q, letter=letter, length=length)
-        assert handle.word() == tuple(letter_at(model, q, letter, k)
-                                      for k in range(length))
+        expected = tuple(letter_at(model, q, letter, k) for k in range(length))
+        assert atlas_words(model, q).word(letter) == expected
 
     def test_toeplitz_level_words(self):
         t2 = ToeplitzModel.of_rank(2)
@@ -444,7 +444,7 @@ class TestAtlas:
 
     def test_lazy_letter_at(self):
         t2 = ToeplitzModel.of_rank(2)
-        handle = AtlasWord(model=t2, q=5, letter=1, length=t2.level_length(5))
+        handle = atlas_words(t2, 5)
         assert handle.length == 177147  # not materialized
         expected = window(t2, 0, 40)
         # level-5 word 1 occupies positions [0, p_5) of the sequence itself
