@@ -13,6 +13,7 @@ failures onto distinct exit codes:
 
 A plain key=value config file can supply defaults; explicit flags win, and
 keys that do not belong to the invoked subcommand are rejected.
+Each handler imports the layers it calls, and a cold command loads no other.
 """
 
 from __future__ import annotations
@@ -20,24 +21,8 @@ from __future__ import annotations
 import json
 import sys
 
-from .diffusion import (
-    DiffusionConfig,
-    garnett_compare,
-    log_height_stats,
-    run_paths,
-)
 from .errors import DomainError, SizeError, TilingError
-from .exact import decimal_string, scalar_to_json
-from .measures import (
-    compose_range,
-    contraction_certificate,
-    ergodic_measure_count,
-    mass_conservation_check,
-    measure_frequencies,
-    transition_matrix,
-)
 from .record import record
-from .render import render_svg
 from .symbolic import (
     DEFAULT_MATERIALIZE_LIMIT,
     SubstitutionModel,
@@ -47,7 +32,6 @@ from .symbolic import (
     window,
     word_to_str,
 )
-from .verification import run_all
 
 
 class _CliUsage(Exception):
@@ -206,6 +190,9 @@ def _cmd_atlas(ns) -> int:
     _OUT,
 ], "transition matrices, compositions, and mass residuals")
 def _cmd_matrices(ns) -> int:
+    from .exact import scalar_to_json
+    from .measures import (compose_range, mass_conservation_check,
+                           transition_matrix)
     model = _build_model(ns)
     has_level = ns.level is not None
     given = (ns.start is not None) + (ns.stop is not None)
@@ -241,6 +228,7 @@ def _cmd_matrices(ns) -> int:
     _OUT,
 ], "count the extreme invariant measures with a stabilization certificate")
 def _cmd_measures(ns) -> int:
+    from .measures import ergodic_measure_count
     model = _build_model(ns)
     result = ergodic_measure_count(
         model, ns.scheme, tolerance=ns.tolerance, max_depth=ns.depth
@@ -258,6 +246,7 @@ def _cmd_measures(ns) -> int:
     _OUT,
 ], "per-level projective contraction certificates")
 def _cmd_certify(ns) -> int:
+    from .measures import contraction_certificate
     model = _build_model(ns)
     if ns.stop <= ns.start:
         raise _CliUsage("--to must exceed --from")
@@ -279,6 +268,8 @@ def _cmd_certify(ns) -> int:
     _OUT,
 ], "letter frequencies of one extreme measure")
 def _cmd_frequencies(ns) -> int:
+    from .exact import decimal_string
+    from .measures import ergodic_measure_count, measure_frequencies
     model = _build_model(ns)
     stab = ergodic_measure_count(
         model, ns.scheme, tolerance=ns.tolerance, max_depth=ns.depth
@@ -315,6 +306,8 @@ def _cmd_frequencies(ns) -> int:
     _OUT,
 ], "simulate leafwise diffusion and compare occupancy to predictions")
 def _cmd_diffuse(ns) -> int:
+    from .diffusion import (DiffusionConfig, garnett_compare, log_height_stats,
+                            run_paths)
     model = _build_model(ns)
     config = DiffusionConfig(
         model=model,
@@ -368,6 +361,7 @@ def _cmd_diffuse(ns) -> int:
     Opt("--out", required=True, help="SVG output path"),
 ], "draw a window of the tiling as SVG")
 def _cmd_render(ns) -> int:
+    from .render import render_svg
     model = _build_model(ns, allow_none=True)
     tiles = render_svg(
         model,
@@ -389,6 +383,7 @@ def _cmd_render(ns) -> int:
     _OUT,
 ], "run the internal cross-checks; nonzero exit if any fails")
 def _cmd_verify(ns) -> int:
+    from .verification import run_all
     checks = run_all()
     ok = all(c.passed for c in checks)
     if ns.as_json:

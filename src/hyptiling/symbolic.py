@@ -30,6 +30,9 @@ Word = tuple  # tuple of Letter
 
 #: Windows and atlas words longer than this are refused with a SizeError.
 DEFAULT_MATERIALIZE_LIMIT = 10**6
+#: `atlas_words` refuses, from q alone, a level whose word length has more
+#: digits than this: building that length would take seconds or minutes.
+_LENGTH_DIGITS = 10**5
 
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # letters as digits
 
@@ -385,9 +388,17 @@ class AtlasWord:
 
 
 def atlas_words(model, q: int) -> AtlasWord:
-    """The level-q atlas of `model`."""
+    """The level-q atlas of `model`, refused past _LENGTH_DIGITS."""
     if q < 0:
         raise DomainError(f"level must be >= 0, got {q}")
+    # log10 of level_length(q): p_q = 3**(1 + q(q-1)/2) or length**q
+    digits = ((1 + q * (q - 1) // 2) * math.log10(3) if model.name == "toeplitz"
+              else q * math.log10(model.length))
+    if digits > _LENGTH_DIGITS:
+        model.branching(q - 1)  # past max_depth: level_length's cap error
+        low = int(digits * (1 - 1e-12))  # under the float error of `digits`
+        raise SizeError(f"level-{q} word has at least 10^{low} letters, over "
+                        f"the cap {DEFAULT_MATERIALIZE_LIMIT}")
     return AtlasWord(model=model, q=q, length=model.level_length(q))
 
 

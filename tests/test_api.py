@@ -5,6 +5,8 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -295,3 +297,42 @@ def test_mode_agreement_check_catches_a_differing_field(monkeypatch, field):
     check = verification.check_mode_agreement()
     assert check.name == "mode-agreement" and not check.passed
     assert field in check.detail
+
+
+def _layer_call_modules():
+    """The modules `bench/spans.py` LAYER_CALLS names, read with `ast`."""
+    spans = pathlib.Path(hyptiling.__file__).parents[2] / "bench" / "spans.py"
+    layers = next(node.value for node in ast.parse(spans.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and node.targets[0].id == "LAYER_CALLS")
+    return sorted({ast.literal_eval(entry.elts[0]) for entry in layers.elts})
+
+
+@pytest.mark.parametrize("code, printed", [
+    # the package imports only the errors and `exact` up front
+    ("import hyptiling\n"
+     "print(sorted(m for m in sys.modules if m.startswith('hyptiling')))",
+     "['hyptiling', 'hyptiling.errors', 'hyptiling.exact']"),
+    # the first layer read through the package brings in every other
+    ("from hyptiling import diffusion\n"
+     "print([m for m in LAYERS if 'hyptiling.' + m not in sys.modules])", "[]"),
+    ("from hyptiling import *\n"
+     "import hyptiling\n"
+     "print([n for n in hyptiling.__all__ if n not in globals()])", "[]"),
+    # a command that imports the `exact` submodule leaves the function bound
+    ("import contextlib, io, types\n"
+     "from hyptiling.cli import main\n"
+     "with contextlib.redirect_stdout(io.StringIO()):\n"
+     "    main(['matrices', '--model', 'substitution', '--level', '1'])\n"
+     "import hyptiling, hyptiling.exact\n"
+     "from hyptiling import diffusion, exact\n"
+     "print(isinstance(hyptiling.exact, types.FunctionType),\n"
+     "      exact is hyptiling.exact is sys.modules['hyptiling.exact'].exact)",
+     "True True"),
+], ids=["import", "one-layer", "star", "exact-after-cli"])
+def test_namespace_in_a_fresh_interpreter(code, printed):
+    prelude = f"import sys\nLAYERS = {_layer_call_modules()!r}\n"
+    proc = subprocess.run([sys.executable, "-c", prelude + code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == printed

@@ -168,6 +168,36 @@ class TestAtlas:
         assert_short_error(out, err)
         assert "3000000 letters" in err and calls == []
 
+    @pytest.mark.parametrize("flags", [["--letter", "1"], []],
+                             ids=["one-word", "all-words"])
+    def test_deep_toeplitz_level_exits_before_any_length(self, monkeypatch,
+                                                         flags):
+        """A level whose length has millions of digits is refused from q
+        alone, with a power of ten under p_q = 3**(1 + q(q-1)/2)."""
+        def no_length(*args):
+            raise AssertionError("a level length was built")
+
+        monkeypatch.setattr("hyptiling.ToeplitzModel.level_length", no_length)
+        code, out, err = run(["atlas", "--model", "toeplitz", "--max-depth",
+                              "100000", "--level", "6000", *flags])
+        assert code == 5
+        assert_short_error(out, err)
+        exponent = 1 + 6000 * 5999 // 2
+        power = int(err.split("at least 10^")[1].split()[0])
+        # log10(3) = 0.47712125471966..., so both bounds hold exactly
+        assert exponent * 0.4771212547 - 1 < power <= exponent * 0.4771212547
+        assert err == (f"error: level-6000 word has at least 10^{power} "
+                       "letters, over the cap 1000000\n")
+
+    def test_deep_toeplitz_level_past_max_depth_is_a_cap_error(self,
+                                                                monkeypatch):
+        monkeypatch.setattr("hyptiling.ToeplitzModel.level_length",
+                            lambda *args: 1 / 0)
+        code, out, err = run(["atlas", "--model", "toeplitz", "--max-depth",
+                              "1000", "--level", "6000", "--letter", "1"])
+        assert (code, out) == (4, "")
+        assert err == "error: period index 6000 exceeds max_depth 1000\n"
+
     def test_one_letter_memory_does_not_grow_with_r(self):
         argv = ["atlas", "--model", "toeplitz", "--r", "100000", "--level", "1",
                 "--letter", "1"]
@@ -352,6 +382,47 @@ class TestFrozenOutput:
         assert not wrong, "; ".join(wrong)
 
 
+class TestColdImports:
+    """Each command, run cold as `python -m hyptiling`, imports only the
+    layers it calls, and prints what it prints in process."""
+
+    BASE = {"hyptiling", "hyptiling.cli", "hyptiling.errors", "hyptiling.exact",
+            "hyptiling.record", "hyptiling.symbolic"}
+
+    @pytest.mark.parametrize("argv, layers", [
+        (["gen", "--model", "toeplitz", "--r", "3", "--from", "-20", "--to",
+          "20"], ()),
+        (["atlas", "--model", "substitution", "--level", "3"], ()),
+        (["matrices", "--model", "substitution", "--scheme", "both",
+          "--level", "1"], ("measures",)),
+        (["measures", "--model", "toeplitz", "--r", "3"], ("measures",)),
+        (["certify", "--model", "substitution", "--from", "1", "--to", "4"],
+         ("measures",)),
+        (["frequencies", "--model", "substitution", "--level", "3"],
+         ("measures",)),
+        (["render", "--model", "substitution", "--rows", "0", "2", "--x", "0",
+          "4", "--out", "tiles.svg"], ("render",)),
+        (["diffuse", "--model", "substitution", "--paths", "3", "--horizon",
+          "1", "--seed", "5"], ("diffusion", "measures")),
+        (["verify", "--json"], ("diffusion", "geometry", "harmonic", "measures",
+                                "verification")),
+    ], ids=["gen", "atlas", "matrices", "measures", "certify", "frequencies",
+            "render", "diffuse", "verify"])
+    def test_command_loads_only_its_layers(self, monkeypatch, tmp_path, argv,
+                                           layers):
+        monkeypatch.chdir(tmp_path)  # render writes its SVG here
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "hyptiling", *argv],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = {line.rsplit("|", 1)[1].strip()
+                  for line in proc.stderr.splitlines()
+                  if line.startswith("import time:") and "|" in line}
+        assert {m for m in loaded if m.split(".")[0] == "hyptiling"} == (
+            self.BASE | {f"hyptiling.{m}" for m in layers})
+        assert (0, proc.stdout) == run(argv)[:2]
+
+
 class TestMatrices:
     def test_single_level(self):
         code, payload = run_json(
@@ -497,7 +568,7 @@ class TestCertify:
 
     def test_level_cap_exits_before_any_matrix(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("hyptiling.cli.contraction_certificate",
+        monkeypatch.setattr("hyptiling.measures.contraction_certificate",
                             lambda *args: calls.append(args))
         code, out, err = run(["certify", "--model", "substitution",
                               "--from", "0", "--to", "10001"])
@@ -724,15 +795,15 @@ class TestSizeCaps:
         assert (matrix["rows"], len(matrix["entries"])) == (256, 256)
 
     @pytest.mark.parametrize("command, first_call", [
-        (["atlas", "--letter", "1"], "atlas_words"),
-        (["matrices"], "transition_matrix"),
-        (["frequencies"], "ergodic_measure_count"),
-        (["diffuse"], "run_paths"),
+        (["atlas", "--letter", "1"], "cli.atlas_words"),
+        (["matrices"], "measures.transition_matrix"),
+        (["frequencies"], "measures.ergodic_measure_count"),
+        (["diffuse"], "diffusion.run_paths"),
     ], ids=["atlas", "matrices", "frequencies", "diffuse"])
     def test_level_cap_exits_before_any_library_call(self, monkeypatch, command,
                                                      first_call):
         calls = []
-        monkeypatch.setattr(f"hyptiling.cli.{first_call}",
+        monkeypatch.setattr(f"hyptiling.{first_call}",
                             lambda *args, **kwargs: calls.append(args))
         code, out, err = run([*command, "--model", "substitution",
                               "--level", "10001"])
@@ -742,7 +813,7 @@ class TestSizeCaps:
 
     def test_matrices_range_cap_exits_before_any_matrix(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("hyptiling.cli.compose_range",
+        monkeypatch.setattr("hyptiling.measures.compose_range",
                             lambda *args: calls.append(args))
         code, out, err = run(["matrices", "--model", "substitution",
                               "--from", "0", "--to", "10001"])
