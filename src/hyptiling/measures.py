@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from functools import cached_property, partial, reduce
+from operator import add
 
 from .errors import (
     BudgetError,
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .exact import decimal_string, log_ratio, reduce_dyadic, scalar_to_json, to_float
 from .record import record
-from .symbolic import SubstitutionModel, block_type_counts
+from .symbolic import SubstitutionModel, _log2_length
 
 TRIANGLE = "triangle"
 PAPER = "paper"
@@ -138,21 +138,22 @@ def _paper_matrix(model, q: int) -> TransitionMatrix:
 
 def _prefix_products(model, scheme: str, q_from: int, q_to: int):
     """Yield (q, exact product of the level matrices q_from .. q) for each
-    q in q_from .. q_to-1: the one composition loop of this module."""
-    ints, shift = None, 0
+    q in q_from .. q_to-1: the one composition loop of the package.  The
+    product is kept by columns; column j of the next one sums x times column
+    k over the nonzero entries x = (k, j) of the level matrix only."""
+    cols, shift, add_maps = None, 0, partial(map, add)
     for q in range(q_from, q_to):
         level = transition_matrix(model, q, scheme)
-        if ints is None:
-            ints = level.ints
+        if cols is None:
+            cols = list(zip(*level.ints))
         else:
-            cols = tuple(zip(*level.ints))
-            ints = tuple(
-                tuple(sum(map(mul, row, col)) for col in cols)
-                for row in ints
-            )
+            cols = [list(reduce(add_maps, [map(x.__mul__, col) for col, x
+                                           in zip(cols, weights) if x]))
+                    for weights in zip(*level.ints)]
         shift += level.shift
-        yield q, TransitionMatrix(level=q_from, scheme=scheme, ints=ints,
-                                  shift=shift)
+        # From a list: CPython's free lists keep tuples shrunk from a zip.
+        yield q, TransitionMatrix(level=q_from, scheme=scheme,
+                                  ints=tuple([*zip(*cols)]), shift=shift)
 
 
 def compose_range(model, scheme: str, q_from: int,
@@ -298,8 +299,10 @@ class ContractionReport:
 def contraction_certificate(model, scheme: str, levels) -> ContractionReport:
     """Per-level projective diameters and contraction factors.
 
-    Verdict "uniformly contracting" requires every level strictly positive
-    with a positive contraction gap; a single zero entry withholds it.
+    Verdict "uniformly contracting" holds iff every level is strictly
+    positive, decided exactly from the ints: a positive matrix has a finite
+    Hilbert diameter D, so its Birkhoff factor tanh(D/4) is below 1, even
+    where the float gap rounds to 0.0.  A single zero entry withholds it.
     """
     reports = []
     for q in levels:
@@ -311,22 +314,15 @@ def contraction_certificate(model, scheme: str, levels) -> ContractionReport:
             note = "zero entries: diameter infinite, verdict withheld"
         elif diam == 0.0:
             note = "degenerate image: all columns projectively equal"
+        elif gap == 0.0:
+            note = "float gap rounds to 0.0; every entry positive, so it contracts"
         else:
             note = ""
-        reports.append(
-            LevelContraction(
-                level=q,
-                diameter=diam,
-                factor=factor,
-                gap=gap,
-                strictly_positive=positive,
-                note=note,
-            )
-        )
-    if reports and all(lc.strictly_positive and lc.gap > 0.0 for lc in reports):
-        verdict = "uniformly contracting"
-    else:
-        verdict = "withheld"
+        reports.append(LevelContraction(level=q, diameter=diam, factor=factor,
+                                        gap=gap, strictly_positive=positive,
+                                        note=note))
+    verdict = ("uniformly contracting" if reports and all(
+        lc.strictly_positive for lc in reports) else "withheld")
     return ContractionReport(scheme=scheme, levels=tuple(reports), verdict=verdict)
 
 
@@ -549,9 +545,10 @@ def measure_frequencies(model, scheme: str, measure_index: int,
     """Letter frequencies of one extreme measure, at finite depth q.
 
     The measure indexed by a stabilized cluster is anchored at that cluster's
-    lowest column letter; its depth-q frequency vector is the letter-count
-    vector of the level-q word with that label, divided by the word length.
-    Exact rationals; the reported level is the depth of the estimate.
+    lowest column letter; its depth-q frequencies are the letter counts of
+    the level-q word `anchor`, column `anchor` of the triangle product of
+    levels 0 .. q-1, over the word length.  A length over BIT_BUDGET bits,
+    which bounds the counts, is refused from q alone, before any product.
     scheme names the matrices the count was made with and is not read.
     """
     if stabilization.status != "stabilized":
@@ -565,13 +562,20 @@ def measure_frequencies(model, scheme: str, measure_index: int,
         )
     clusters = sorted(stabilization.clusters, key=min)
     anchor = min(clusters[measure_index]) + 1
-    counts = block_type_counts(model, 0, q, anchor)
+    if q < 0:
+        raise DomainError(f"need 0 <= base <= level, got base=0, level={q}")
+    if _log2_length(model, q) > BIT_BUDGET:
+        if model.name == "toeplitz":  # past max_depth, the product's cap error
+            model.branching(min(q - 1, model.max_depth))
+        raise BudgetError(f"level-{q} word length is over the {BIT_BUDGET}-bit cap")
+    product = compose_range(model, TRIANGLE, 0, q)
     length = model.level_length(q)
     return FrequencyResult(
         measure_index=measure_index,
         anchor_letter=anchor,
         level=q,
         status="stabilized",
-        frequencies=tuple(Fraction(c, length) for c in counts),
+        frequencies=tuple(Fraction(row[anchor - 1], length)
+                          for row in product.ints),
     )
 

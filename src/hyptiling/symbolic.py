@@ -387,13 +387,18 @@ class AtlasWord:
         return tuple(_expand(self.model, self.q, (letter,), 0, 0, self.length)[0])
 
 
+def _log2_length(model, q: int) -> float:
+    """log2 of level_length(q) for q >= 1, from q alone: p_q = 3**(1 +
+    q(q-1)/2) for Toeplitz, length**q for a substitution."""
+    return ((1 + q * (q - 1) // 2) * math.log2(3) if model.name == "toeplitz"
+            else q * math.log2(model.length))
+
+
 def atlas_words(model, q: int) -> AtlasWord:
     """The level-q atlas of `model`, refused past _LENGTH_DIGITS."""
     if q < 0:
         raise DomainError(f"level must be >= 0, got {q}")
-    # log10 of level_length(q): p_q = 3**(1 + q(q-1)/2) or length**q
-    digits = ((1 + q * (q - 1) // 2) * math.log10(3) if model.name == "toeplitz"
-              else q * math.log10(model.length))
+    digits = _log2_length(model, q) * math.log10(2)
     if digits > _LENGTH_DIGITS:
         model.branching(q - 1)  # past max_depth: level_length's cap error
         low = int(digits * (1 - 1e-12))  # under the float error of `digits`
@@ -402,29 +407,17 @@ def atlas_words(model, q: int) -> AtlasWord:
     return AtlasWord(model=model, q=q, length=model.level_length(q))
 
 
-# ---------------------------------------------------------------------------
-# Block counting
-
-
 def block_type_counts(model, base: int, q: int, letter: Letter) -> tuple:
     """Multiplicity of each level-`base` label inside the level-q word `letter`.
 
-    Index 0 of the result counts label 1.  Built one level at a time upward
-    from base, so it works far beyond materializable lengths.
+    Index 0 of the result counts label 1.  It is column `letter` of the
+    triangle product of the level matrices base .. q-1, so it works far
+    beyond materializable lengths, within that product's bit budget.
     """
+    from .measures import TRIANGLE, compose_range
     if base < 0 or q < base:
         raise DomainError(f"need 0 <= base <= level, got base={base}, level={q}")
     if not (1 <= letter <= model.r):
         raise DomainError(f"letter {letter} outside 1..{model.r}")
-    rows = tuple(tuple(int(i == j) for i in range(model.r)) for j in range(model.r))
-    for level in range(base + 1, q + 1):
-        grown = []
-        for parent in range(1, model.r + 1):
-            acc = [0] * model.r
-            for mult, sub in zip(model.children_count_vector(level, parent), rows):
-                if mult:
-                    for i in range(model.r):
-                        acc[i] += mult * sub[i]
-            grown.append(tuple(acc))
-        rows = tuple(grown)
-    return rows[letter - 1]
+    return tuple(row[letter - 1]
+                 for row in compose_range(model, TRIANGLE, base, q).ints)

@@ -3,7 +3,8 @@
 Each one takes a different route from the library code it checks: the
 Hilbert distance through a chord's cross-ratio, level words by iterating a
 substitution letter by letter, single letters of an atlas word by a
-`child_at` walk down the levels, aligned windows block by block through
+`child_at` walk down the levels, block counts by expanding a word through
+`children` and counting its labels, aligned windows block by block through
 `block_letter`, word strings parsed back to letters, patch partitions
 tile by tile, and the expected block fractions as a deepening limit.
 """
@@ -86,6 +87,16 @@ def letter_at(model, q: int, letter: int, pos: int) -> int:
         label = model.child_at(level, label, offset // sub)
         offset %= sub
     return label
+
+
+def expanded_label_counts(model, base: int, q: int, letter: int) -> tuple:
+    """Multiplicity of each level-`base` label in the level-q word `letter`:
+    the word expanded down to level `base` through `model.children`, label
+    by label, and the labels counted."""
+    labels = [letter]
+    for level in range(q, base, -1):
+        labels = [a for label in labels for a in model.children(level, label)]
+    return tuple(labels.count(a) for a in range(1, model.r + 1))
 
 
 class AlignmentError(DomainError):

@@ -226,6 +226,19 @@ def test_every_public_name_has_a_reader():
     assert unread == []
 
 
+def test_one_count_loop():
+    """Within the package, only `measures.transition_matrix` reads a model's
+    `children_count_vector`: block counts and frequencies are columns of the
+    one product of those matrices, and no second loop counts them."""
+    readers = set()
+    for path in pathlib.Path(hyptiling.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.FunctionDef)
+                    and "children_count_vector" in _reads(node.body)):
+                readers.add(f"{path.stem}.{node.name}")
+    assert readers == {"measures.transition_matrix"}
+
+
 def _chains(tree, roots):
     """Dotted attribute chains, such as `symbolic.ToeplitzModel.of_rank`,
     that start at one of the names `roots`; the longest chain of each run."""

@@ -7,11 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from hyptiling import (TRIANGLE, BudgetError, ToeplitzModel,
+                       ergodic_measure_count, measure_frequencies)
 from hyptiling.cli import main
 
 
@@ -251,7 +254,7 @@ class TestFrozenOutput:
          "2498b277c21a4d82a32df76fff940b99f50b31fde9c9becf372a85a26808171b"),
         (["certify", "--model", "substitution", "--scheme", "paper", "--from",
           "1", "--to", "10"], 0,
-         "2c1e2749bbcf257c7d0ea0420a7e3786b79dcf1c5b8a3d662e30a51dae7ffdc1"),
+         "151751fd6a8e2c9df3b3222401a4a223a9eb506592ff467955daf22ce5e38ceb"),
         (["frequencies", "--model", "substitution", "--level", "10",
           "--format", "csv"], 0,
          "962861d2f76491f248d6f4db8302e2c68ee6293ca4eb9192c29ca667db904c33"),
@@ -828,6 +831,59 @@ class TestSizeCaps:
         assert code == 0 and stdout == ""
         matrix = json.loads(out.read_text())["schemes"]["triangle"]
         assert matrix["range"] == [0, 10000]
+
+    #: Runs the command in its argv with `measures.compose_range` recording
+    #: its calls, and fails unless it recorded none.
+    NO_PRODUCT = ("import sys\n"
+                  "from hyptiling import cli, measures\n"
+                  "calls = []\n"
+                  "measures.compose_range = lambda *args: calls.append(args)\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "assert calls == [], calls\n"
+                  "sys.exit(code)\n")
+
+    def test_deep_toeplitz_frequencies_exit_before_any_product(self):
+        """Counts never exceed the word length, so a level whose length is
+        over the bit budget is refused from q alone, cold, at once."""
+        argv = ["frequencies", "--model", "toeplitz", "--max-depth", "10000",
+                "--level", "2000"]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", self.NO_PRODUCT, *argv],
+                              capture_output=True, text=True, timeout=30)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 5, proc.stderr
+        assert_short_error(proc.stdout, proc.stderr)
+        assert proc.stderr == ("error: level-2000 word length is over the "
+                               "1000000-bit cap\n")
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("level, code, message", [
+        ("1200", 4, "period index 49 exceeds max_depth 48"),
+        ("-1", 3, "need 0 <= base <= level, got base=0, level=-1"),
+    ], ids=["past-max-depth", "negative"])
+    def test_frequencies_errors_keep_their_order(self, level, code, message):
+        assert run(["frequencies", "--model", "toeplitz", "--r", "2",
+                    "--level", level]) == (code, "", f"error: {message}\n")
+
+    def test_frequencies_size_rule_boundary(self, monkeypatch):
+        """For Toeplitz r = 2, the level-1123 word length has 998,533 bits
+        and passes; the level-1124 one has 1,000,313 and is refused."""
+        lengths = (3 ** (1 + 1123 * 1122 // 2), 3 ** (1 + 1124 * 1123 // 2))
+        assert [n.bit_length() for n in lengths] == [998_533, 1_000_313]
+
+        class Built(Exception):
+            pass
+
+        def product(*args):
+            raise Built
+
+        model = ToeplitzModel.of_rank(2, max_depth=10000)
+        stab = ergodic_measure_count(model)
+        monkeypatch.setattr("hyptiling.measures.compose_range", product)
+        with pytest.raises(Built):
+            measure_frequencies(model, TRIANGLE, 0, 1123, stab)
+        with pytest.raises(BudgetError, match="level-1124 word length"):
+            measure_frequencies(model, TRIANGLE, 0, 1124, stab)
 
     def test_path_cap_exits_before_any_path(self, monkeypatch):
         def no_path(*args, **kwargs):

@@ -25,8 +25,8 @@ from hyptiling import (
     word_to_str,
 )
 from hyptiling.symbolic import DEFAULT_MATERIALIZE_LIMIT, block_labels
-from oracles import (AlignmentError, block_decompose, letter_at, substitution_image,
-                     word_from_str)
+from oracles import (AlignmentError, block_decompose, expanded_label_counts,
+                     letter_at, substitution_image, word_from_str)
 
 SUB = SubstitutionModel.standard()
 # three letters, length 4: image(1) starts with 1 and image(2) ends with 2
@@ -504,7 +504,36 @@ class TestBlockDecompose:
             assert tuple(rebuilt) == window(model, start, stop)
 
 
+@st.composite
+def counted_models(draw):
+    """The standard rule, a constant-length rule with the fixed-point
+    property over 2..4 letters of length 2..4, or Toeplitz over 1..5 letters."""
+    kind = draw(st.sampled_from(["standard", "rule", "toeplitz"]))
+    if kind == "standard":
+        return SUB
+    if kind == "toeplitz":
+        return ToeplitzModel.of_rank(draw(st.integers(1, 5)))
+    r, length = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    images = [draw(st.lists(st.integers(1, r), min_size=length,
+                            max_size=length)) for _ in range(r)]
+    images[0][0], images[1][-1] = 1, 2
+    return SubstitutionModel(tuple(map(tuple, images)))
+
+
 class TestCounting:
+    @given(model=counted_models(), base=st.integers(0, 6), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_counts_from_any_base_match_expanded_words(self, model, base, data):
+        """Levels base .. q whose word holds at most 10^5 level-base labels."""
+        top = base
+        while top < base + 8 and (model.level_length(top + 1)
+                                  // model.level_length(base) <= 10**5):
+            top += 1
+        q = data.draw(st.integers(base, top), label="q")
+        letter = data.draw(st.integers(1, model.r), label="letter")
+        assert block_type_counts(model, base, q, letter) == (
+            expanded_label_counts(model, base, q, letter))
+
     def test_frozen_counts(self):
         sub = SubstitutionModel.standard()
         assert block_type_counts(sub, 0, 1, 1) == (2, 1)
