@@ -112,7 +112,9 @@ def transition_matrix(model, q: int, scheme: str = TRIANGLE) -> TransitionMatrix
         if q < 0:
             raise DomainError(f"triangle matrices need level >= 0, got {q}")
         cols = [model.children_count_vector(q + 1, j) for j in range(1, model.r + 1)]
-        return TransitionMatrix(level=q, scheme=scheme, ints=tuple(zip(*cols)))
+        # From a list, as in _prefix_products.
+        return TransitionMatrix(level=q, scheme=scheme,
+                                ints=tuple([*zip(*cols)]))
     return _paper_matrix(model, q)
 
 

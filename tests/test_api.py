@@ -35,6 +35,10 @@ def test_every_listed_name_resolves():
         assert hasattr(hyptiling, name), name
 
 
+def test_no_name_is_listed_twice():
+    assert len(set(hyptiling.__all__)) == len(hyptiling.__all__)
+
+
 def test_deleted_names_are_not_listed():
     modules = (hyptiling.harmonic, hyptiling.measures, hyptiling.symbolic,
                hyptiling.geometry, hyptiling.exact, hyptiling.errors,
@@ -310,6 +314,62 @@ def test_mode_agreement_check_catches_a_differing_field(monkeypatch, field):
     check = verification.check_mode_agreement()
     assert check.name == "mode-agreement" and not check.passed
     assert field in check.detail
+
+
+def _replace(value, **fields):
+    """A copy of a record with some fields changed."""
+    return type(value)(**{f: fields.get(f, getattr(value, f))
+                          for f in type(value).__match_args__})
+
+
+def _one_more(matrix):
+    """The matrix with its first entry raised by one."""
+    first, *rest = matrix.ints
+    return _replace(matrix, ints=((first[0] + 1, *first[1:]), *rest))
+
+
+def _deeper_and_doubled(classes):
+    """Each class one row deeper with twice the placements: the tally's
+    weights stay the same, the tile count doubles."""
+    return [_replace(c, depth=c.depth + 1, count=2 * c.count) for c in classes]
+
+
+#: (name patched in `verification`, its stand-in given the original, check
+#: function, check name, part of the failing detail): one failing branch each.
+_BROKEN = [
+    ("transition_matrix", lambda f: lambda *a: _one_more(f(*a)),
+     "check_counting_equivalence", "counting-equivalence", "!= entry"),
+    ("occurrence_classes", lambda f: lambda *a: _deeper_and_doubled(f(*a)),
+     "check_counting_equivalence", "counting-equivalence", "tiles !="),
+    ("mass_conservation_check",
+     lambda f: lambda *a: _replace(f(*a), residuals=(0, 1)),
+     "check_mass_conservation", "mass-conservation", "residuals (0, 1)"),
+    ("hull_contains", lambda f: lambda *a: False,
+     "check_nesting", "nesting", "escapes"),
+    ("contraction_certificate",
+     lambda f: lambda *a: _replace(f(*a), verdict="withheld"),
+     "check_contraction", "contraction", "verdict 'withheld'"),
+    ("projective_diameter",
+     lambda f: lambda *a, grow=iter(range(10)): next(grow),
+     "check_contraction", "contraction", "grew from 0 to 1"),
+    ("height_law_test", lambda f: lambda *a: (0.5, 1e-4),
+     "check_height_law", "height-law", "p-value 0.0001"),
+]
+
+
+@pytest.mark.parametrize("patched, stand_in, check, name, detail", _BROKEN,
+                         ids=[case[0] for case in _BROKEN])
+def test_each_check_can_fail(monkeypatch, patched, stand_in, check, name,
+                             detail):
+    """One library call of a `verify` check made to misbehave fails that
+    check, by name, with a detail that says how."""
+    from hyptiling import verification
+
+    original = getattr(verification, patched)
+    monkeypatch.setattr(verification, patched, stand_in(original))
+    result = getattr(verification, check)()
+    assert result.name == name and result.passed is False
+    assert detail in result.detail, result.detail
 
 
 def _layer_call_modules():

@@ -1018,6 +1018,22 @@ class TestVerify:
         assert len(lines) == 7
         assert all(line.startswith("[PASS]") for line in lines)
 
+    def test_a_failing_check(self, monkeypatch):
+        """One check made to fail: exit 1, its line or entry alone fails."""
+        from hyptiling import verification
+
+        monkeypatch.setattr(verification, "hull_contains", lambda *a: False)
+        code, out, _ = run(["verify"])
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 7
+        failed = [line for line in lines if not line.startswith("[PASS] ")]
+        assert failed == [
+            "[FAIL] nesting: substitution: depth-4 simplex escapes depth-3 hull"]
+        code, payload = run_json(["verify", "--json"])
+        assert code == 1 and payload["all_passed"] is False
+        assert [c["name"] for c in payload["checks"]
+                if not c["passed"]] == ["nesting"]
+
     def test_one_fixed_run(self, tmp_path):
         assert run(["verify", "--full"])[0] == 2
         cfg = tmp_path / "verify.cfg"
