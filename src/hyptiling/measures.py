@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from operator import add
+from itertools import repeat
+from operator import add, lshift
 
 from .errors import (
     BudgetError,
@@ -29,7 +30,7 @@ from .errors import (
     SizeError,
     UnsupportedSchemeError,
 )
-from .exact import decimal_string, log_ratio, reduce_dyadic, scalar_to_json, to_float
+from .exact import decimal_string, log_ratio, scalar_to_json, to_float
 from .record import record
 from .symbolic import SubstitutionModel, _log2_length
 
@@ -42,6 +43,9 @@ BIT_BUDGET = 10**6
 
 #: Entries one r x r matrix may hold, so r <= 256.
 MAX_MATRIX_ENTRIES = 2**16
+
+#: Weights up to this many bits multiply: cheaper there than shifts and an add.
+_SHIFT_BITS = 64
 
 
 def _require_matrices(model, scheme: str):
@@ -58,8 +62,8 @@ def _require_matrices(model, scheme: str):
 @record
 class TransitionMatrix:
     """Entry (i, j) is ints[i][j] / 2**shift: shift 0 for the triangle
-    scheme, 2*3**q - 2 for the level-q closed form.  Products multiply the
-    ints and add the shifts, so no gcd is ever taken."""
+    scheme, 2*3**q - 2 for the level-q closed form.  Products add the shifts
+    and multiply the ints (wide two-bit ones by shifts), so no gcd is taken."""
 
     level: int
     scheme: str
@@ -87,11 +91,14 @@ class TransitionMatrix:
         return all(x > 0 for row in self.ints for x in row)
 
     def entry_bits(self) -> int:
-        """Largest numerator or denominator bit length of the reduced entries."""
-        if not self.shift:  # denominators 1
+        """Largest numerator or denominator bit length of the reduced entries,
+        read off the tz trailing zeros that reducing x / 2**shift strips."""
+        shift = self.shift
+        if not shift:  # denominators 1
             return max(1, max(x.bit_length() for row in self.ints for x in row))
-        reduced = (reduce_dyadic(x, self.shift) for row in self.ints for x in row)
-        return max(max(n.bit_length(), d.bit_length()) for n, d in reduced)
+        tzs = ((x, min((x & -x).bit_length() - 1, shift) if x else shift)
+               for row in self.ints for x in row)
+        return max(max(x.bit_length() - tz, shift - tz + 1) for x, tz in tzs)
 
     def to_json(self) -> dict:
         return {
@@ -138,20 +145,35 @@ def _paper_matrix(model, q: int) -> TransitionMatrix:
     return TransitionMatrix(level=q, scheme=PAPER, ints=ints, shift=shift)
 
 
+def _scaled(col, x: int):
+    """Nonzero x times each entry of col, lazily: by shifts when x has at
+    most two set bits, as every closed-form entry has, else by a multiply."""
+    low = x & -x
+    high = x ^ low  # negative, so never a power of two, when x < 0
+    if high & (high - 1):
+        return map(x.__mul__, col)
+    terms = map(lshift, col, repeat(low.bit_length() - 1))
+    if not high:
+        return terms
+    return map(add, terms, map(lshift, col, repeat(high.bit_length() - 1)))
+
+
 def _prefix_products(model, scheme: str, q_from: int, q_to: int):
     """Yield (q, exact product of the level matrices q_from .. q) for each
     q in q_from .. q_to-1: the one composition loop of the package.  The
     product is kept by columns; column j of the next one sums x times column
-    k over the nonzero entries x = (k, j) of the level matrix only."""
+    k over the nonzero entries x = (k, j) of the level matrix only; a weight
+    wider than _SHIFT_BITS is applied by `_scaled`."""
     cols, shift, add_maps = None, 0, partial(map, add)
     for q in range(q_from, q_to):
         level = transition_matrix(model, q, scheme)
         if cols is None:
             cols = list(zip(*level.ints))
         else:
-            cols = [list(reduce(add_maps, [map(x.__mul__, col) for col, x
-                                           in zip(cols, weights) if x]))
-                    for weights in zip(*level.ints)]
+            cols = [list(reduce(add_maps, [
+                _scaled(col, x) if x.bit_length() > _SHIFT_BITS
+                else map(x.__mul__, col) for col, x in zip(cols, weights) if x]))
+                for weights in zip(*level.ints)]
         shift += level.shift
         # From a list: CPython's free lists keep tuples shrunk from a zip.
         yield q, TransitionMatrix(level=q_from, scheme=scheme,
@@ -385,6 +407,7 @@ def ergodic_measure_count(model, scheme: str = TRIANGLE,
     level matrices 1 .. m-1.  The count is certified once two
     consecutive depths produce the same cluster count with every matched
     vertex within the tolerance; otherwise the result is inconclusive.
+    Only the depths whose matched vertices settled, and the last, are clustered.
     """
     _require_matrices(model, scheme)
     if max_depth < 3:
@@ -394,34 +417,36 @@ def ergodic_measure_count(model, scheme: str = TRIANGLE,
 
     products = _prefix_products(model, scheme, 1, max_depth)
     prev = tuple(zip(*next(products)[1].ints))
-    prev_clusters = _cluster_rays(prev, tolerance)
-    note, depth, moved = "", 2, math.inf
+    prev_clusters, note, depth, moved = None, "", 2, math.inf
     try:
         for q, product in products:
             if product.entry_bits() > BIT_BUDGET:
                 note = f"entry growth passed the {BIT_BUDGET}-bit budget at depth {q + 1}"
                 break
-            cur = tuple(zip(*product.ints))
-            cur_clusters = _cluster_rays(cur, tolerance)
+            cur, cur_clusters = tuple(zip(*product.ints)), None
             depth = q + 1
-            moved = math.inf  # a depth whose cluster count changed
-            if len(cur_clusters) == len(prev_clusters):
-                moved = max(projective_distance(a, b) for a, b in zip(prev, cur))
+            moved = max(map(projective_distance, prev, cur))
+            if moved <= tolerance:
+                cur_clusters = _cluster_rays(cur, tolerance)
+                if len(cur_clusters) != len(
+                        prev_clusters or _cluster_rays(prev, tolerance)):
+                    moved = math.inf  # a depth whose cluster count changed
             prev, prev_clusters = cur, cur_clusters
             if moved <= tolerance:
                 break
     except BudgetError as err:
         note = str(err)
     stabilized = moved <= tolerance
+    clusters = prev_clusters or _cluster_rays(prev, tolerance)
     return ErgodicCount(
-        count=len(prev_clusters),
+        count=len(clusters),
         status="stabilized" if stabilized else "inconclusive",
         base_level=1,
         depth=depth,
         tolerance=tolerance,
         max_matched_distance=moved if stabilized else math.inf,
-        clusters=prev_clusters,
-        witnesses=tuple(_vertex(prev[members[0]]) for members in prev_clusters),
+        clusters=clusters,
+        witnesses=tuple(_vertex(prev[members[0]]) for members in clusters),
         note="" if stabilized else note or (
             f"no consecutive-depth match within {tolerance} by depth {max_depth}"),
     )

@@ -339,6 +339,19 @@ class TestFrozenOutput:
         (["gen", "--model", "toeplitz", "--from", "0"], 2, EMPTY),
     ]
 
+    #: Toeplitz ranks past what the nested-simplex count can certify by its
+    #: default depth 36: both commands print the inconclusive count, exit 6.
+    LARGE_RANK_REFUSALS = [
+        (["measures", "--model", "toeplitz", "--r", "48"], 6,
+         "d2a7c206cad6b7c8d3ac4de1fa10d2070f052c22c4cd45377cbd521d0b031e5e"),
+        (["frequencies", "--model", "toeplitz", "--r", "48", "--level", "3"],
+         6, "d2a7c206cad6b7c8d3ac4de1fa10d2070f052c22c4cd45377cbd521d0b031e5e"),
+    ]
+
+    def test_large_rank_refusal_digests(self):
+        wrong = self._mismatches(self.LARGE_RANK_REFUSALS, self._in_process)
+        assert not wrong, "; ".join(wrong)
+
     @staticmethod
     def _mismatches(commands, runner):
         """Commands whose exit code or stdout digest differs from the table."""

@@ -562,6 +562,17 @@ level_ranges = st.one_of(
 budgets = st.one_of(st.just(10**6), st.integers(1, 400))
 
 
+@st.composite
+def fixed_point_rules(draw):
+    """Constant-length rules over 2..4 letters with images of length 2..5,
+    image of 1 starting with 1 and image of 2 ending with 2."""
+    r, length = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    images = [draw(st.lists(st.integers(1, r), min_size=length,
+                            max_size=length)) for _ in range(r)]
+    images[0][0], images[1][-1] = 1, 2
+    return SubstitutionModel(tuple(map(tuple, images)))
+
+
 def outcome(call):
     try:
         return call()
@@ -589,6 +600,68 @@ class TestIntegerRepresentation:
     def test_ergodic_count_unchanged(self, model, scheme):
         got = ergodic_measure_count(model, scheme)
         assert ergodic_tuple(got) == fraction_ergodic(model, scheme)
+
+    @given(case=st.one_of(
+               st.integers(1, 8).map(lambda r: (ToeplitzModel.of_rank(r),
+                                                TRIANGLE)),
+               st.sampled_from([(SUB, TRIANGLE), (SUB, PAPER)])),
+           tol=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.5]),
+           max_depth=st.integers(3, 16))
+    @settings(max_examples=40, deadline=None)
+    def test_ergodic_count_matches_eager_clustering(self, case, tol,
+                                                    max_depth):
+        """fraction_ergodic clusters every depth; the count must agree at
+        any tolerance and depth, stabilized or not."""
+        model, scheme = case
+        got = ergodic_measure_count(model, scheme, tolerance=tol,
+                                    max_depth=max_depth)
+        assert ergodic_tuple(got) == fraction_ergodic(
+            model, scheme, tol=tol, max_depth=max_depth)
+
+    @given(model=fixed_point_rules(), q_from=st.integers(0, 4),
+           levels=st.integers(0, 8), gate=st.sampled_from([None, 0]))
+    @settings(max_examples=60, deadline=None)
+    def test_rule_products_match_fraction_product(self, model, q_from,
+                                                  levels, gate):
+        """Triangle weights of random rules are small counts such as 3, 5
+        and 6; with the shift gate at 0 bits they take the shift branch."""
+        q_to = q_from + levels
+        with pytest.MonkeyPatch.context() as patch:
+            if gate is not None:
+                patch.setattr(measures, "_SHIFT_BITS", gate, raising=False)
+            got = outcome(lambda: compose_range(model, TRIANGLE, q_from,
+                                                q_to).ints)
+        want = outcome(lambda: fraction_compose(model, TRIANGLE, q_from, q_to,
+                                                10**6))
+        assert got == want
+
+    @pytest.mark.parametrize("x", [
+        1 << 70, 8, 3, (1 << 40) + 2, (1 << 100) + (1 << 99),
+        (1 << 354_000) + 2, (1 << 100) + (1 << 50) + 1, 3**200 + 7,
+    ], ids=["wide-power", "narrow-power", "narrow-adjacent", "narrow-apart",
+            "wide-adjacent", "wide-apart", "three-bits", "general"])
+    def test_scaled_column_is_the_product(self, x):
+        col = (0, 1, -1, 7, -(1 << 63), 10**3010 + 17, -(10**3010) - 1)
+        assert list(measures._scaled(col, x)) == [x * c for c in col]
+
+    def test_count_clusters_only_settled_depths(self, monkeypatch):
+        calls = []
+        cluster = measures._cluster_rays
+
+        def counted(rays, tol):
+            calls.append(len(rays))
+            return cluster(rays, tol)
+
+        monkeypatch.setattr(measures, "_cluster_rays", counted)
+        result = ergodic_measure_count(ToeplitzModel.of_rank(8))
+        assert (result.count, result.status) == (8, "stabilized")
+        assert len(calls) <= 3
+
+    def test_rank_48_stays_inconclusive(self):
+        result = ergodic_measure_count(ToeplitzModel.of_rank(48))
+        assert (result.count, result.status, result.depth) == (
+            48, "inconclusive", 36)
+        assert result.note == "no consecutive-depth match within 1e-06 by depth 36"
 
     @given(name=st.sampled_from(["sub", "t2", "t3"]),
            scheme=st.sampled_from([TRIANGLE, PAPER]),
