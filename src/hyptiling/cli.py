@@ -94,8 +94,6 @@ def _build_model(ns, allow_none: bool = False):
 
 
 def _model_echo(model) -> dict:
-    if model is None:
-        return {"name": "none"}
     echo = {"name": model.name, "r": model.r}
     if model.name == "toeplitz":
         echo["max_depth"] = model.max_depth
@@ -191,20 +189,21 @@ def _cmd_atlas(ns) -> int:
 ], "transition matrices, compositions, and mass residuals")
 def _cmd_matrices(ns) -> int:
     from .exact import scalar_to_json
-    from .measures import (compose_range, mass_conservation_check,
-                           transition_matrix)
+    from .measures import compose_range, mass_conservation_check
     model = _build_model(ns)
     has_level = ns.level is not None
     given = (ns.start is not None) + (ns.stop is not None)
     if given != (0 if has_level else 2):
         raise _CliUsage("give either --level or both --from and --to")
-    if not has_level:
+    if has_level:
+        ns.start, ns.stop = ns.level, ns.level + 1
+    else:
         _check_levels(ns)
     schemes = ("triangle", "paper") if ns.scheme == "both" else (ns.scheme,)
     out = {}
     for scheme in schemes:
+        matrix = compose_range(model, scheme, ns.start, ns.stop)
         if has_level:
-            matrix = transition_matrix(model, ns.level, scheme)
             residual = mass_conservation_check(model, scheme, ns.level)
             out[scheme] = {
                 "matrix": matrix.to_json(),
@@ -212,7 +211,6 @@ def _cmd_matrices(ns) -> int:
                 "mass_residuals": residual.to_json(),
             }
         else:
-            matrix = compose_range(model, scheme, ns.start, ns.stop)
             out[scheme] = {
                 "range": [ns.start, ns.stop],
                 "matrix": matrix.to_json(),
@@ -233,9 +231,7 @@ def _cmd_measures(ns) -> int:
     result = ergodic_measure_count(
         model, ns.scheme, tolerance=ns.tolerance, max_depth=ns.depth
     )
-    payload = {"model": _model_echo(model)}
-    payload.update(result.to_json())
-    _emit(payload, ns.out)
+    _emit({"model": _model_echo(model), **result.to_json()}, ns.out)
     return 0 if result.status == "stabilized" else 6
 
 
@@ -252,14 +248,11 @@ def _cmd_certify(ns) -> int:
         raise _CliUsage("--to must exceed --from")
     _check_levels(ns)
     report = contraction_certificate(model, ns.scheme, range(ns.start, ns.stop))
-    payload = {"model": _model_echo(model)}
-    payload.update(report.to_json())
-    _emit(payload, ns.out)
+    _emit({"model": _model_echo(model), **report.to_json()}, ns.out)
     return 0
 
 
 @_sub("frequencies", _model_opts() + [
-    _SCHEME,
     Opt("--measure", type=int, default=0, help="extreme measure index"),
     Opt("--level", type=int, required=True, help="estimate depth"),
     Opt("--depth", type=int, default=36, help="stabilization depth cap"),
@@ -269,17 +262,14 @@ def _cmd_certify(ns) -> int:
 ], "letter frequencies of one extreme measure")
 def _cmd_frequencies(ns) -> int:
     from .exact import decimal_string
-    from .measures import ergodic_measure_count, measure_frequencies
+    from .measures import TRIANGLE, ergodic_measure_count, measure_frequencies
     model = _build_model(ns)
-    stab = ergodic_measure_count(
-        model, ns.scheme, tolerance=ns.tolerance, max_depth=ns.depth
-    )
+    stab = ergodic_measure_count(model, tolerance=ns.tolerance,
+                                 max_depth=ns.depth)
     if stab.status != "stabilized":
-        payload = {"model": _model_echo(model)}
-        payload.update(stab.to_json())
-        _emit(payload, ns.out)
+        _emit({"model": _model_echo(model), **stab.to_json()}, ns.out)
         return 6
-    result = measure_frequencies(model, ns.scheme, ns.measure, ns.level, stab)
+    result = measure_frequencies(model, TRIANGLE, ns.measure, ns.level, stab)
     if ns.format == "csv":
         lines = ["letter,numerator,denominator,value"]
         for i, frac in enumerate(result.frequencies, start=1):
@@ -287,14 +277,11 @@ def _cmd_frequencies(ns) -> int:
                          f"{decimal_string(frac.denominator)},{float(frac)!r}")
         _write_text("\n".join(lines) + "\n", ns.out)
     else:
-        payload = {"model": _model_echo(model)}
-        payload.update(result.to_json())
-        _emit(payload, ns.out)
+        _emit({"model": _model_echo(model), **result.to_json()}, ns.out)
     return 0
 
 
 @_sub("diffuse", _model_opts() + [
-    _SCHEME,
     Opt("--dt", type=float, default=1e-3, help="time step"),
     Opt("--horizon", type=float, default=2000.0, help="path length T"),
     Opt("--paths", type=int, default=50),
@@ -318,8 +305,7 @@ def _cmd_diffuse(ns) -> int:
         trace_stride=ns.stride,
     )
     results = run_paths(config, mode=ns.mode)
-    report = garnett_compare(config, q=ns.level, scheme=ns.scheme,
-                             results=results)
+    report = garnett_compare(config, results, q=ns.level)
     try:
         height = log_height_stats(results)
     except DomainError as err:

@@ -359,20 +359,23 @@ def log_height_samples(results) -> "numpy.ndarray":
     return np.asarray(vals, dtype=np.float64)
 
 
-def log_height_stats(results) -> dict:
+def _height_sample(results, purpose: str = "") -> tuple:
+    """(compensated samples, T) of the complete paths: at least 30 of them."""
     samples = log_height_samples(results)
     if len(samples) < 30:
         raise DomainError(
-            f"need at least 30 complete paths, got {len(samples)}"
+            f"need at least 30 complete paths{purpose}, got {len(samples)}"
         )
-    horizon = max(r.time_elapsed for r in results if not r.partial)
-    mean = float(samples.mean())
-    var = float(samples.var(ddof=1)) if len(samples) > 1 else 0.0
+    return samples, max(r.time_elapsed for r in results if not r.partial)
+
+
+def log_height_stats(results) -> dict:
+    samples, horizon = _height_sample(results)
     return {
         "paths": int(len(samples)),
         "horizon": horizon,
-        "mean": mean,
-        "variance": var,
+        "mean": float(samples.mean()),
+        "variance": float(samples.var(ddof=1)),
         "expected_mean": 0.0,
         "expected_variance": horizon,
     }
@@ -388,13 +391,7 @@ def height_law_test(results) -> tuple:
     """
     import numpy as np
 
-    samples = log_height_samples(results)
-    if len(samples) < 30:
-        raise DomainError(
-            f"need at least 30 complete paths for the distribution test, "
-            f"got {len(samples)}"
-        )
-    horizon = max(r.time_elapsed for r in results if not r.partial)
+    samples, horizon = _height_sample(results, " for the distribution test")
     if horizon <= 0:
         raise DomainError("zero horizon has a degenerate law")
     n = len(samples)
@@ -561,8 +558,7 @@ def expected_block_fractions(model, q: int) -> tuple:
     return tuple(float(x) for x in hull_membership(shifted, (0,) * model.r))
 
 
-def garnett_compare(config: DiffusionConfig, results, q: int = 0,
-                    scheme: str = TRIANGLE) -> dict:
+def garnett_compare(config: DiffusionConfig, results, q: int = 0) -> dict:
     """Empirical time fractions per level-q block label of the paths in
     results, simulated under config, with expectations.
 
@@ -597,7 +593,7 @@ def garnett_compare(config: DiffusionConfig, results, q: int = 0,
         bands = [math.inf] * model.r
 
     try:
-        count = ergodic_measure_count(model, scheme)
+        count = ergodic_measure_count(model)
         certified, why = count.status == "stabilized", ""
     except (CapError, SizeError) as err:  # max_depth or the matrix cap
         certified, why = False, f" ({err})"

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import repeat
-from operator import add, lshift
+from operator import add, lshift, ne, not_
 
 from .errors import (
     BudgetError,
@@ -228,14 +228,15 @@ def projective_distance(vx, vy) -> float:
 
     The extreme ratios x_i / y_i are picked by exact cross multiplication,
     so exact input is rounded once.  The distance ignores scaling, so
-    integer matrix columns need no normalization.
+    integer matrix columns need no normalization.  Rays of different
+    supports are infinitely far apart, decided before any multiplication.
     """
+    if any(map(ne, map(not_, vx), map(not_, vy))):
+        return math.inf
     hi = lo = None
     for x, y in zip(vx, vy):
-        if x == 0 and y == 0:
+        if not x:  # zero in both rays
             continue
-        if x == 0 or y == 0:
-            return math.inf
         if hi is None:
             hi = lo = (x, y)
         elif x * hi[1] > hi[0] * y:
@@ -507,6 +508,14 @@ def hull_contains(outer, inner) -> bool:
 # Mass conservation and frequencies
 
 
+def _require_length(model, q: int):
+    """Refuse, from q alone, a level-q word length over BIT_BUDGET bits."""
+    if _log2_length(model, q) > BIT_BUDGET:
+        if model.name == "toeplitz":  # past max_depth, the cap error first
+            model.branching(min(q - 1, model.max_depth))
+        raise BudgetError(f"level-{q} word length is over the {BIT_BUDGET}-bit cap")
+
+
 @record
 class MassResiduals:
     level: int
@@ -519,10 +528,11 @@ class MassResiduals:
         return all(x == 0 for x in self.residuals)
 
     def to_json(self) -> dict:
+        text = {w: decimal_string(w) for w in set(self.weights)}  # once each
         return {
             "level": self.level,
             "scheme": self.scheme,
-            "weights": [decimal_string(w) for w in self.weights],
+            "weights": [text[w] for w in self.weights],
             "residuals": [scalar_to_json(x) for x in self.residuals],
             "conserved": self.conserved,
         }
@@ -534,9 +544,11 @@ def mass_conservation_check(model, scheme: str, q: int) -> MassResiduals:
     Weights are word lengths, i.e. patch areas in units of the prototile
     leafwise area.  The triangle scheme conserves mass identically; the
     published closed-form matrices do not, and the exact residual is the
-    cleanest statement of that mismatch.
+    cleanest statement of that mismatch.  A level-(q+1) length over
+    BIT_BUDGET bits is refused from q alone, once the matrix is built.
     """
     matrix = transition_matrix(model, q, scheme)
+    _require_length(model, q + 1)
     w_low = model.level_length(q)
     w_high = model.level_length(q + 1)
     residuals = tuple(Fraction(w_high) - w_low * c for c in matrix.column_sums())
@@ -591,10 +603,7 @@ def measure_frequencies(model, scheme: str, measure_index: int,
     anchor = min(clusters[measure_index]) + 1
     if q < 0:
         raise DomainError(f"need 0 <= base <= level, got base=0, level={q}")
-    if _log2_length(model, q) > BIT_BUDGET:
-        if model.name == "toeplitz":  # past max_depth, the product's cap error
-            model.branching(min(q - 1, model.max_depth))
-        raise BudgetError(f"level-{q} word length is over the {BIT_BUDGET}-bit cap")
+    _require_length(model, q)
     product = compose_range(model, TRIANGLE, 0, q)
     length = model.level_length(q)
     return FrequencyResult(

@@ -91,6 +91,7 @@ def test_knobs_only_tests_turned_are_constants():
         hyptiling.occurrence_classes: ("max_classes",),
         hyptiling.boundary_recover: ("rel_tol",),
         hyptiling.render_svg: ("palette",),
+        hyptiling.garnett_compare: ("scheme",),
         verification.check_height_law: ("seed",),
         verification.check_mode_agreement: ("seed",),
     }

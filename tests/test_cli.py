@@ -284,9 +284,9 @@ class TestFrozenOutput:
         (["certify", "--help"], 0,
          "03005e1e41967de48cd5087bbf0ad8653b034e9367fb5b526985f930b38ee72d"),
         (["frequencies", "--help"], 0,
-         "327270fed0c6ae594558071acf95b0315c567e36253e4f8a27c754b5a5b02c99"),
+         "40f26a8ee380549df4b5619ce7e48eeaf3eeaf1c3464e44b473db83d2d291eee"),
         (["diffuse", "--help"], 0,
-         "2627c3b8460f8dbf129c68f98d89d1ba7e7ba4bd8a53dd5a8fbfcb74f5daa803"),
+         "fa5ca8136c3ba592342b88568eaca22176ac6a3e20634c03b9bd65dc9a9c42e4"),
         (["render", "--help"], 0,
          "734eb3c7f356b5a9c37bcbc27f1c665c14c55287e64acbae447f535025252e77"),
         (["verify", "--help"], 0,
@@ -519,6 +519,33 @@ class TestMatrices:
             ["matrices", "--model", "toeplitz", "--level", "1", bound, "3"]
         )
         assert code == 2 and out == "" and "usage" in err
+
+    @pytest.mark.parametrize("model, scheme, q", [
+        *((model, "triangle", q) for model in ("substitution", "toeplitz")
+          for q in range(4)),
+        *(("substitution", "paper", q) for q in range(1, 4)),
+    ])
+    def test_level_is_the_one_level_range(self, model, scheme, q):
+        level = run_json(["matrices", "--model", model, "--scheme", scheme,
+                          "--level", str(q)])
+        span = run_json(["matrices", "--model", model, "--scheme", scheme,
+                         "--from", str(q), "--to", str(q + 1)])
+        assert level[0] == span[0] == 0
+        assert (level[1]["schemes"][scheme]["matrix"]["entries"]
+                == span[1]["schemes"][scheme]["matrix"]["entries"])
+
+    def test_paper_level_over_the_bit_budget(self):
+        """The level-12 closed form has 1,062,880-bit denominators: refused
+        at once, as the one-level range is."""
+        start = time.perf_counter()
+        code, out, err = run(["matrices", "--model", "substitution",
+                              "--scheme", "paper", "--level", "12"])
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (5, "")
+        assert (code, out, err) == run(
+            ["matrices", "--model", "substitution", "--scheme", "paper",
+             "--from", "12", "--to", "13"])
+        assert elapsed < 1.0
 
     def test_paper_scheme_needs_substitution(self):
         code, _, _ = run(
@@ -870,6 +897,28 @@ class TestSizeCaps:
                                "1000000-bit cap\n")
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("level, code", [("1122", 0), ("1123", 5)])
+    def test_deep_toeplitz_mass_residuals_size_rule(self, level, code):
+        """For Toeplitz r = 2 the level-1123 word length has 998,533 bits and
+        is printed; the level-1124 one has 1,000,313, and the level-1123
+        matrix is refused from q alone, cold, at once."""
+        argv = ["matrices", "--model", "toeplitz", "--max-depth", "10001",
+                "--level", level]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "hyptiling", *argv],
+                              capture_output=True, text=True, timeout=30)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert_short_error(proc.stdout, proc.stderr)
+            assert proc.stderr == ("error: level-1124 word length is over the "
+                                   "1000000-bit cap\n")
+            assert elapsed < 1.0
+        else:
+            residuals = json.loads(proc.stdout)["schemes"]["triangle"][
+                "mass_residuals"]
+            assert residuals["conserved"] and len(set(residuals["weights"])) == 1
+
     @pytest.mark.parametrize("level, code, message", [
         ("1200", 4, "period index 49 exceeds max_depth 48"),
         ("-1", 3, "need 0 <= base <= level, got base=0, level=-1"),
@@ -1056,6 +1105,20 @@ class TestVerify:
 
 
 class TestDispatch:
+    @pytest.mark.parametrize("command", [
+        ["frequencies", "--level", "6"], ["diffuse", "--paths", "5",
+                                          "--horizon", "5"],
+    ], ids=["frequencies", "diffuse"])
+    def test_no_scheme_option(self, tmp_path, command):
+        """Both read the triangle-scheme product in every case, so neither
+        takes a scheme, from a flag or from a config file."""
+        argv = [*command, "--model", "substitution"]
+        assert run([*argv, "--scheme", "triangle"])[:2] == (2, "")
+        cfg = tmp_path / "scheme.cfg"
+        cfg.write_text("scheme = triangle\n")
+        code, out, err = run([*argv, "--config", str(cfg)])
+        assert (code, out) == (2, "") and "unknown config key 'scheme'" in err
+
     def test_no_subcommand(self):
         assert run([])[0] == 2
 

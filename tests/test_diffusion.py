@@ -410,10 +410,13 @@ class TestHeightLaw:
     def test_small_samples_rejected(self):
         cfg = DiffusionConfig(SUB, dt=0.1, horizon=0.5, paths=5)
         res = run_paths(cfg)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as stats:
             log_height_stats(res)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as law:
             height_law_test(res)
+        assert str(stats.value) == "need at least 30 complete paths, got 5"
+        assert str(law.value) == ("need at least 30 complete paths for the "
+                                  "distribution test, got 5")
 
     def test_partial_paths_are_excluded(self):
         shallow = ToeplitzModel.of_rank(2, max_depth=1)

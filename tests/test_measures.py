@@ -229,6 +229,23 @@ class TestHilbertMetric:
             (0, 1), (Fraction(1, 2), Fraction(1, 2))
         ) == math.inf
 
+    def test_supports_are_compared_before_any_product(self):
+        """Rays that differ in support only at the last index are infinitely
+        far apart, whatever their other entries would multiply to."""
+
+        class Entry:
+            def __bool__(self):
+                return True
+
+            def __mul__(self, other):
+                raise AssertionError("an entry was multiplied")
+
+            __rmul__ = __mul__
+
+        wide = (Entry(), Entry(), Entry())
+        assert projective_distance((*wide, 1), (*wide, 0)) == math.inf
+        assert projective_distance((*wide, 0), (*wide, 1)) == math.inf
+
     @given(x=simplex_point, y=simplex_point, k=st.integers(2, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_segment_route_agrees(self, x, y, k):
@@ -402,6 +419,20 @@ class TestMassConservation:
         r1 = mass_conservation_check(SUB, PAPER, 1).residuals[0]
         r2 = mass_conservation_check(SUB, PAPER, 2).residuals[0]
         assert r2 > r1 > 0
+
+    def test_each_weight_is_written_once(self, monkeypatch):
+        model = ToeplitzModel.of_rank(5)
+        want = [str(model.level_length(3))] * 5
+        calls = []
+
+        def decimal_string(n):
+            calls.append(n)
+            return str(n)
+
+        monkeypatch.setattr(measures, "decimal_string", decimal_string)
+        assert mass_conservation_check(model, TRIANGLE, 3).to_json()[
+            "weights"] == want
+        assert calls == [model.level_length(3)]
 
     def test_json_round_trip_exact(self):
         payload = mass_conservation_check(SUB, PAPER, 1).to_json()
