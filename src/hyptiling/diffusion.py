@@ -3,21 +3,18 @@
 The driving process is half-plane Brownian motion run in logarithmic height:
 with u = ln y the height obeys du = dW - dt/2 exactly, so the Euler chain
 u_{k+1} = u_k + sqrt(dt) * xi - dt/2 has the true law at every step and the
-terminal displacement is N(-T/2, T) with no discretization error.  The
-horizontal coordinate is kept in tile-relative form, column plus fractional
-offset, because raw x loses all precision once the walk is thousands of rows
-below the start; the fractional increment exp(u - row*ln2) * sqrt(dt) * xi
-is always O(sqrt(dt)).
+terminal displacement is N(-T/2, T) with no discretization error.  Every
+tile of one row has the same color, so each leafwise result (occupancy,
+crossings, the height law) depends on u alone and no horizontal coordinate
+is walked.
 
-Each path draws its noise as two Philox streams, du (stream 0) and dx
-(stream 1), streamed in chunks of CHUNK steps so that memory per path stays
-constant.  The two execution modes share the du stream and agree bit for
-bit.  "fast" draws du only, into per-path buffers that every chunk reuses
-(cumsum, division by ln 2 and floor run in place), and reads occupancy,
-colorability and crossings from the runs of equal rows alone; "full" draws
-both streams, walks step by step and also tracks the column as an
-arbitrary-precision integer through the doubling/halving renormalization at
-each row crossing.
+Each path draws its du noise from one Philox stream, in chunks of CHUNK
+steps so that memory per path stays constant.  The two execution modes
+read the same stream and agree bit for bit.  "fast" draws into per-path
+buffers that every chunk reuses (cumsum, division by ln 2 and floor run in
+place) and reads occupancy, colorability and crossings from the runs of
+equal rows alone; "full" walks the same chain step by step, an independent
+route to the same fields.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ MAX_PATHS = 10**5
 #: Trace points kept over all paths of a run (about 160 bytes each).
 MAX_TRACE_POINTS = 10**6
 
-#: Steps of noise drawn at a time; a path holds one chunk per stream.
+#: Steps of noise drawn at a time; a path holds one chunk.
 CHUNK = 2**16
 
 
@@ -89,12 +86,10 @@ class DiffusionConfig:
 
 @record
 class LeafState:
-    """Walker position: log-height plus tile-relative horizontal data."""
+    """Walker position: log-height and the row it lies in."""
 
     u: float
     row: int
-    col: int
-    x_frac: float
 
     def __post_init__(self):
         if not math.isfinite(self.u):
@@ -103,8 +98,6 @@ class LeafState:
             raise DomainError(
                 f"row {self.row} disagrees with log-height {self.u}"
             )
-        if not (0.0 <= self.x_frac < 1.0):
-            raise DomainError(f"tile offset {self.x_frac} outside [0, 1)")
 
 
 @record
@@ -123,8 +116,6 @@ class PathResult:
     row_crossings: int
     row_steps: dict  # row -> integer step count, over step-start states
     stop_row: object = None  # the uncolorable row that truncated the path
-    col_final: object = None  # int in full mode
-    x_frac_final: object = None
     trace: tuple = ()
 
     @property
@@ -154,19 +145,16 @@ class PathResult:
         return out
 
 
-def _noise(config: DiffusionConfig, path_index: int, stream: int, out=None):
-    """Increments of one noise stream, CHUNK steps at a time.
+def _noise(config: DiffusionConfig, path_index: int, out=None):
+    """Height increments du = sqrt(dt) * xi - dt/2, CHUNK steps at a time.
 
-    Stream 0 is the height increment du = sqrt(dt) * xi - dt/2, stream 1 the
-    horizontal dx = sqrt(dt) * xi.  Each stream has its own Philox key, so a
-    mode draws only the streams it reads and both modes see the same du.
+    The Philox key is (seed, path_index, 0), so both modes see the same du.
     Each chunk is yielded as a view of out (at least min(CHUNK, n_steps)
     long, allocated once if not given) and overwritten by the next.
     """
     import numpy as np
 
-    seq = np.random.SeedSequence(entropy=config.seed,
-                                 spawn_key=(path_index, stream))
+    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(path_index, 0))
     rng = np.random.Generator(np.random.Philox(seq))
     sqrt_dt = math.sqrt(config.dt)
     n = config.n_steps
@@ -176,8 +164,7 @@ def _noise(config: DiffusionConfig, path_index: int, stream: int, out=None):
         draws = out[:min(CHUNK, n - done)]
         rng.standard_normal(out=draws)
         draws *= sqrt_dt
-        if stream == 0:
-            draws -= config.dt / 2.0
+        draws -= config.dt / 2.0
         yield draws
 
 
@@ -191,7 +178,7 @@ def simulate_path(config: DiffusionConfig, start: LeafState = None,
     if mode not in ("fast", "full"):
         raise DomainError(f"unknown mode {mode!r}")
     if start is None:
-        start = LeafState(u=math.log(1.5), row=0, col=0, x_frac=0.5)
+        start = LeafState(u=math.log(1.5), row=0)
     walk = _walk_fast if mode == "fast" else _walk_full
     fields = walk(config, start, path_index)
     occupied = fields["row_steps"]
@@ -216,7 +203,7 @@ def _walk_fast(config: DiffusionConfig, start: LeafState,
     u_buf = np.empty(min(CHUNK, n) + 1)
     rows_buf = np.empty_like(u_buf)  # floor(u / ln 2), as floats
     moved = np.ones(len(u_buf), dtype=bool)  # True where a run of rows starts
-    for du in _noise(config, path_index, 0, u_buf[1:]):
+    for du in _noise(config, path_index, u_buf[1:]):
         m = len(du)
         u_path, rows = u_buf[:m + 1], rows_buf[:m + 1]
         u_path[0] = u
@@ -266,12 +253,10 @@ def _walk_full(config: DiffusionConfig, start: LeafState,
                path_index: int) -> dict:
     n = config.n_steps
     # memoryview yields each chunk's doubles without building lists; safe
-    # because _noise overwrites its buffers only once the chunk is consumed.
+    # because _noise overwrites its buffer only once the chunk is consumed.
     steps = chain.from_iterable(
-        zip(range(done, done + len(du)), memoryview(du), memoryview(dx))
-        for done, du, dx in zip(range(0, n, CHUNK),
-                                _noise(config, path_index, 0),
-                                _noise(config, path_index, 1))
+        zip(range(done, done + len(du)), memoryview(du))
+        for done, du in zip(range(0, n, CHUNK), _noise(config, path_index))
     )
     colorable = {}
 
@@ -280,51 +265,27 @@ def _walk_full(config: DiffusionConfig, start: LeafState,
             colorable[r] = block_labels(config.model, 0, r, r + 1)[0] is not None
         return colorable[r]
 
-    u, row, col, frac = start.u, start.row, start.col, start.x_frac
+    u, row = start.u, start.row
     row_steps, trace, stop_row = {}, [], None
     crossings, steps_used = 0, n
     stride = config.trace_stride
     row_ok = is_colorable(row)
     entered = 0  # the step at which the walk entered the current row
 
-    for k, du, dx in steps:
+    for k, du in steps:
         if stride > 0 and k % stride == 0:
             trace.append((k, u, row))
         if not row_ok:
             steps_used = k
             stop_row = row
             break
-
-        u_next = u + du
-        # Horizontal Gaussian move at midpoint height, in current tile widths.
-        frac = frac + math.exp(0.5 * (u + u_next) - row * LN2) * dx
-        carry = math.floor(frac)
-        if carry != 0:
-            col += int(carry)
-            frac -= carry
-
-        u = u_next
+        u += du
         new_row = math.floor(u / LN2)
         if new_row != row:
             row_steps[row] = row_steps.get(row, 0) + k + 1 - entered
             entered = k + 1
             crossings += abs(new_row - row)
-            while row > new_row:  # descending: tiles halve, columns double
-                frac *= 2.0
-                if frac >= 1.0:
-                    col = 2 * col + 1
-                    frac -= 1.0
-                else:
-                    col = 2 * col
-                row -= 1
-            while row < new_row:  # ascending: adjacent columns merge
-                if col % 2 == 0:
-                    col //= 2
-                    frac /= 2.0
-                else:
-                    col = (col - 1) // 2
-                    frac = (1.0 + frac) / 2.0
-                row += 1
+            row = new_row
             row_ok = is_colorable(row)
     if steps_used > entered:
         row_steps[row] = row_steps.get(row, 0) + steps_used - entered
@@ -332,8 +293,7 @@ def _walk_full(config: DiffusionConfig, start: LeafState,
         trace.append((n, u, row))
     return dict(steps_used=steps_used, u_final=u, row_final=row,
                 row_crossings=crossings, row_steps=row_steps,
-                stop_row=stop_row, trace=tuple(trace),
-                col_final=col, x_frac_final=frac)
+                stop_row=stop_row, trace=tuple(trace))
 
 
 def run_paths(config: DiffusionConfig, mode: str = "fast") -> list:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import add, lshift, ne, not_
 
 from .errors import (
@@ -255,14 +255,14 @@ def projective_distance(vx, vy) -> float:
 def projective_diameter(matrix: TransitionMatrix) -> float:
     """Diameter of the image cone: max pairwise distance of the columns.
 
-    Infinite as soon as two columns have different supports (zero entries).
+    Infinite as soon as two columns have different supports (zero entries),
+    which one pass over the support patterns decides before any distance.
     """
     cols = list(zip(*matrix.ints))  # scaled columns: the same rays
-    diam = 0.0
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            diam = max(diam, projective_distance(cols[i], cols[j]))
-    return diam
+    if len({tuple(map(bool, col)) for col in cols}) > 1:
+        return math.inf
+    return max([0.0, *(projective_distance(a, b)
+                       for a, b in combinations(cols, 2))])
 
 
 def birkhoff_factor(diameter: float) -> tuple:

@@ -182,9 +182,8 @@ def check_height_law():
                            f"on {len(results)} paths")
 
 
-#: PathResult fields both modes fill; full mode alone tracks the column.
-_SHARED_FIELDS = tuple(f for f in PathResult.__match_args__
-                       if f not in ("mode", "col_final", "x_frac_final"))
+#: PathResult fields both modes fill: all but the mode's own name.
+_SHARED_FIELDS = tuple(f for f in PathResult.__match_args__ if f != "mode")
 
 
 @_check("mode-agreement")

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import hyptiling
-from hyptiling.diffusion import LeafState
+from hyptiling.diffusion import LeafState, PathResult, _noise
 from hyptiling.geometry import AffineMap, OccurrenceClass, Patch, TileAddress
 from hyptiling.harmonic import BoundaryAtoms, TransportCheck
 from hyptiling.measures import TransitionMatrix
@@ -70,6 +70,9 @@ def test_deleted_methods_and_fields_are_gone():
     assert not hasattr(OccurrenceClass, "placement_map")
     assert not hasattr(LeafState, "from_point")
     assert not hasattr(LeafState, "point")
+    assert LeafState.__match_args__ == ("u", "row")
+    assert not {"col_final", "x_frac_final"} & set(PathResult.__match_args__)
+    assert "stream" not in inspect.signature(_noise).parameters
     assert not hasattr(BoundaryAtoms, "total_mass")
     assert not hasattr(AtlasWord, "letter_at")
     for name in ("log_fraction", "log2_fraction", "floor_log2_fraction",

@@ -25,7 +25,6 @@ from hyptiling import (
     log_height_stats,
     run_paths,
     simulate_path,
-    tile_containing_point,
 )
 from hyptiling import diffusion
 from hyptiling.diffusion import (
@@ -39,13 +38,6 @@ from hyptiling.diffusion import (
 from oracles import deepened_block_fractions
 
 SUB = SubstitutionModel.standard()
-
-
-def leaf_point(state: LeafState) -> tuple:
-    """Half-plane point (x, y) of a walker state; the column must still fit
-    in a float."""
-    assert abs(state.row) <= 900 and abs(state.col) <= 2**900
-    return (math.ldexp(state.col + state.x_frac, state.row), math.exp(state.u))
 
 
 class TestConfig:
@@ -103,13 +95,14 @@ class TestLeafState:
     def test_default_start(self):
         res = simulate_path(DiffusionConfig(SUB, horizon=0.0), mode="full")
         assert res.u0 == res.u_final == math.log(1.5)
-        assert (res.row_final, res.col_final, res.x_frac_final) == (0, 0, 0.5)
+        assert res.row_final == res.min_row == res.max_row == 0
 
     def test_row_consistency_enforced(self):
-        with pytest.raises(DomainError):
-            LeafState(u=0.0, row=1, col=0, x_frac=0.0)
-        with pytest.raises(DomainError):
-            LeafState(u=0.5, row=0, col=0, x_frac=1.5)
+        assert LeafState(u=0.5, row=0).row == 0
+        with pytest.raises(DomainError, match="row 1 disagrees"):
+            LeafState(u=0.0, row=1)
+        with pytest.raises(DomainError, match="not finite"):
+            LeafState(u=math.inf, row=0)
 
 
 class TestReproducibility:
@@ -162,16 +155,18 @@ class TestModeEquivalence:
         with pytest.raises(DomainError):
             simulate_path(cfg, mode="banana")
 
-    def test_full_mode_tracks_position(self):
-        cfg = DiffusionConfig(SUB, dt=1e-3, horizon=2.0, seed=5)
-        res = simulate_path(cfg, mode="full")
-        assert res.mode == "full"
-        assert res.col_final is not None
-        final = LeafState(u=res.u_final, row=res.row_final,
-                          col=res.col_final, x_frac=res.x_frac_final)
-        x, y = leaf_point(final)
-        tile = tile_containing_point(x, y)
-        assert (tile.row, tile.col) == (res.row_final, res.col_final)
+    def test_full_mode_draws_one_noise_stream(self, monkeypatch):
+        """A full-mode path builds one Philox generator: the du stream."""
+        built, philox = [], np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        cfg = DiffusionConfig(SUB, dt=1e-2, horizon=1.0, seed=3)
+        assert simulate_path(cfg, mode="full").mode == "full"
+        assert len(built) == 1
 
 
 class TestChunkedNoise:
@@ -215,26 +210,24 @@ class TestChunkedNoise:
         assert fast.partial and fast.trace == full.trace
         assert fast.trace[-1] == (fast.steps_used, fast.u_final, fast.stop_row)
 
-    @pytest.mark.parametrize("stream, drift", [(0, 1e-3 / 2.0), (1, 0.0)])
-    def test_chunks_concatenate_to_one_draw(self, stream, drift):
+    def test_chunks_concatenate_to_one_draw(self):
         cfg = DiffusionConfig(SUB, dt=1e-3, horizon=150.0, seed=5)
         # each chunk is a view of the caller's buffer, overwritten by the next
         out = np.empty(CHUNK)
         chunks = []
-        for chunk in _noise(cfg, 3, stream, out):
+        for chunk in _noise(cfg, 3, out):
             assert np.shares_memory(chunk, out)
             chunks.append(chunk.copy())
         n = cfg.n_steps
         assert [len(c) for c in chunks] == [CHUNK, CHUNK, n - 2 * CHUNK]
-        key = np.random.SeedSequence(entropy=5, spawn_key=(3, stream))
+        key = np.random.SeedSequence(entropy=5, spawn_key=(3, 0))
         draws = np.random.Generator(np.random.Philox(key)).standard_normal(n)
-        expected = draws * math.sqrt(1e-3) - drift
+        expected = draws * math.sqrt(1e-3) - 1e-3 / 2.0
         assert np.array_equal(np.concatenate(chunks), expected)
 
 
-#: Every PathResult field both modes fill; full mode alone tracks the column.
-SHARED_FIELDS = tuple(f for f in PathResult.__match_args__
-                      if f not in ("mode", "col_final", "x_frac_final"))
+#: Every PathResult field both modes fill: all but the mode's own name.
+SHARED_FIELDS = tuple(f for f in PathResult.__match_args__ if f != "mode")
 #: A model that colors every row, and ones whose capped filling truncates.
 MODELS = (SUB, ToeplitzModel.of_rank(2, max_depth=1),
           ToeplitzModel.of_rank(2, max_depth=2),
@@ -245,7 +238,7 @@ def run_both(model, dt, steps, stride, seed, u0, chunk):
     """The same path in both modes, with noise chunks of the given size."""
     cfg = DiffusionConfig(model, dt=dt, horizon=steps * dt, seed=seed,
                           trace_stride=stride)
-    start = LeafState(u=u0, row=math.floor(u0 / LN2), col=0, x_frac=0.5)
+    start = LeafState(u=u0, row=math.floor(u0 / LN2))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(diffusion, "CHUNK", chunk)
         return (simulate_path(cfg, start, mode="fast"),

@@ -287,6 +287,33 @@ class TestContraction:
         assert projective_diameter(m) == math.inf
         assert birkhoff_factor(math.inf) == (1.0, 0.0)
 
+    @given(data=st.data(), r=st.integers(1, 4), shared=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_diameter_is_the_largest_pairwise_distance(self, data, r, shared):
+        """Against every pair of columns: columns of one support pattern
+        (shared) or of one each, with all-zero rows.  No column is zero, as
+        no column of a level matrix is."""
+        pattern = st.lists(st.booleans(), min_size=r, max_size=r).filter(any)
+        patterns = [data.draw(pattern)] * r if shared else [
+            data.draw(pattern) for _ in range(r)]
+        cols = [[data.draw(st.integers(1, 5)) if p else 0 for p in support]
+                for support in patterns]
+        m = TransitionMatrix(level=0, scheme=TRIANGLE,
+                             ints=tuple(zip(*cols)), shift=0)
+        want = max([0.0] + [projective_distance(a, b)
+                            for i, a in enumerate(cols) for b in cols[i + 1:]])
+        assert projective_diameter(m) == want
+
+    def test_supports_decide_before_any_distance(self, monkeypatch):
+        """A rank-64 Toeplitz level has 64 support patterns: its diameter is
+        infinite without one of the 2,016 pairwise distances."""
+        calls = []
+        monkeypatch.setattr(measures, "projective_distance",
+                            lambda *rays: calls.append(rays))
+        m = transition_matrix(ToeplitzModel.of_rank(64), 5, TRIANGLE)
+        assert projective_diameter(m) == math.inf
+        assert calls == []
+
     def test_gap_stays_positive_for_huge_diameters(self):
         factor, gap = birkhoff_factor(500.0)
         assert factor == 1.0  # saturated in float

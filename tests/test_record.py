@@ -56,7 +56,7 @@ class TestConstruction:
         with pytest.raises(DomainError):
             AffineMap(-1, 0)
         with pytest.raises(DomainError):
-            LeafState(0.25, 1, 0, 0.5)
+            LeafState(0.25, 1)
 
     def test_post_init_coerces(self):
         m = AffineMap(2, 0.5)
@@ -101,7 +101,6 @@ class TestValueSemantics:
             "steps_used=3, partial=False, u0=0.4054651081081644, "
             "u_final=1.0232101772839672, row_final=1, min_row=0, max_row=1, "
             "row_crossings=3, row_steps={0: 2, 1: 1}, stop_row=None, "
-            "col_final=0, x_frac_final=0.26066351361301604, "
             "trace=((0, 0.4054651081081644, 0), (1, 1.0689543896292992, 1), "
             "(2, 0.6579883560479729, 0), (3, 1.0232101772839672, 1)))")
 
