@@ -21,10 +21,9 @@ from __future__ import annotations
 import json
 import sys
 
-from .errors import DomainError, SizeError, TilingError
+from .errors import DomainError, SizeError, TilingError, cap
 from .record import record
 from .symbolic import (
-    DEFAULT_MATERIALIZE_LIMIT,
     SubstitutionModel,
     ToeplitzModel,
     _size_text,
@@ -115,19 +114,11 @@ def _write_text(text, out_path):
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
-#: Letters all the words of one `atlas` run may hold together; the two
-#: level-12 words of the standard substitution, 1,062,882 letters, fit.
-_ATLAS_LETTERS = 2 * DEFAULT_MATERIALIZE_LIMIT
-
-#: The largest `--level`, and the most levels one `--from`/`--to` range of
-#: `matrices` or `certify` may span: output, memory and time grow with them.
-_LEVELS = 10**4
-
-
 def _check_levels(ns):
-    if ns.stop - ns.start > _LEVELS:
+    """Refuse a `--from`/`--to` span of more levels than the levels cap."""
+    if ns.stop - ns.start > cap("levels"):
         raise SizeError(f"{_size_text(ns.stop - ns.start)} levels are over the "
-                        f"cap {_LEVELS}")
+                        f"cap {cap('levels')}")
 
 
 @_sub("gen", _model_opts() + [
@@ -145,23 +136,24 @@ def _cmd_gen(ns) -> int:
 @_sub("atlas", _model_opts() + [
     Opt("--level", type=int, required=True, help="hierarchy level"),
     Opt("--letter", type=int, help="restrict to one word"),
-    Opt("--max-letters", type=int, default=DEFAULT_MATERIALIZE_LIMIT,
+    Opt("--max-letters", type=int,
         help="materialization cap; can only lower the default 10^6"),
     _OUT,
 ], "materialize the words of one hierarchy level")
 def _cmd_atlas(ns) -> int:
     model = _build_model(ns)
-    if ns.max_letters > DEFAULT_MATERIALIZE_LIMIT:
+    if (ns.max_letters or 0) > cap("letters"):
         raise SizeError(f"--max-letters {ns.max_letters} is over the cap "
-                        f"{DEFAULT_MATERIALIZE_LIMIT}")
+                        f"{cap('letters')}")
     level = atlas_words(model, ns.level)
     if ns.letter is not None:
         letters = (ns.letter,)
     else:
         total = model.r * level.length
-        if total > _ATLAS_LETTERS:
+        if total > cap("atlas_letters"):
             raise SizeError(f"the level-{ns.level} words hold {_size_text(total)} "
-                            f"letters together, over the cap {_ATLAS_LETTERS}; "
+                            f"letters together, over the cap "
+                            f"{cap('atlas_letters')}; "
                             "pick one word with --letter")
         letters = tuple(range(1, model.r + 1))
     words = {
@@ -197,8 +189,7 @@ def _cmd_matrices(ns) -> int:
         raise _CliUsage("give either --level or both --from and --to")
     if has_level:
         ns.start, ns.stop = ns.level, ns.level + 1
-    else:
-        _check_levels(ns)
+    _check_levels(ns)
     schemes = ("triangle", "paper") if ns.scheme == "both" else (ns.scheme,)
     out = {}
     for scheme in schemes:
@@ -494,9 +485,10 @@ def main(argv=None) -> int:
     try:
         config = _read_config(ns.config) if ns.config else {}
         _merge(ns, opts, config)
-        if (getattr(ns, "level", None) or 0) > _LEVELS:  # before any library call
-            raise SizeError(f"--level {_size_text(ns.level)} is over the cap "
-                            f"{_LEVELS}")
+        for flag in ("level", "depth"):  # before any library call
+            if (getattr(ns, flag, None) or 0) > cap("levels"):
+                raise SizeError(f"--{flag} {_size_text(getattr(ns, flag))} is "
+                                f"over the cap {cap('levels')}")
         return func(ns)
     except _CliUsage as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -22,19 +22,13 @@ from __future__ import annotations
 import math
 from itertools import chain
 
-from .errors import CapError, DomainError, SizeError
+from .errors import CapError, DomainError, SizeError, cap
 from .measures import (TRIANGLE, ergodic_measure_count, hull_membership,
                        transition_matrix)
 from .record import record
 from .symbolic import _size_text, block_labels
 
 LN2 = math.log(2.0)
-
-MAX_STEPS = 10**8
-#: Paths of one run; `run_paths` keeps every result (about 0.7 KB each).
-MAX_PATHS = 10**5
-#: Trace points kept over all paths of a run (about 160 bytes each).
-MAX_TRACE_POINTS = 10**6
 
 #: Steps of noise drawn at a time; a path holds one chunk.
 CHUNK = 2**16
@@ -63,20 +57,19 @@ class DiffusionConfig:
         if self.horizon / self.dt == math.inf:
             raise SizeError(f"horizon {self.horizon} over step {self.dt} "
                             "overflows the step count")
-        if self.n_steps > MAX_STEPS:
-            raise SizeError(
-                f"{_size_text(self.n_steps)} steps exceeds the {MAX_STEPS} step cap"
-            )
+        if self.n_steps > cap("steps"):
+            raise SizeError(f"{_size_text(self.n_steps)} steps exceeds the "
+                            f"{cap('steps')} step cap")
         if self.trace_stride > 0:
             points = self.paths * (self.n_steps // self.trace_stride + 1)
-            if points > MAX_TRACE_POINTS:
+            if points > cap("trace_points"):
                 raise SizeError(
                     f"{_size_text(points)} trace points exceeds the "
-                    f"{MAX_TRACE_POINTS} point cap; raise the trace stride"
+                    f"{cap('trace_points')} point cap; raise the trace stride"
                 )
-        if self.paths > MAX_PATHS:
+        if self.paths > cap("paths"):
             raise SizeError(f"{_size_text(self.paths)} paths exceeds the "
-                            f"{MAX_PATHS} path cap")
+                            f"{cap('paths')} path cap")
 
     @property
     def n_steps(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, SizeError, cap
 from .exact import exact, pow2
 from .record import record
 
@@ -106,10 +106,6 @@ class OccurrenceClass:
     count: int
 
 
-#: Occurrence classes one call may list: one per block of the parent word.
-MAX_CLASSES = 1 << 20
-
-
 def occurrence_classes(model, q: int, parent_letter: int) -> tuple:
     """Placements of level-q patches inside the level-(q+1) patch of a parent.
 
@@ -119,9 +115,9 @@ def occurrence_classes(model, q: int, parent_letter: int) -> tuple:
     if q < 0:
         raise DomainError(f"level must be >= 0, got {q}")
     blocks = model.branching(q)
-    if blocks > MAX_CLASSES:
+    if blocks > cap("classes"):
         raise SizeError(
-            f"{blocks} occurrence classes exceed the cap {MAX_CLASSES}"
+            f"{blocks} occurrence classes exceed the cap {cap('classes')}"
         )
     length = model.level_length(q)
     classes = []

@@ -19,7 +19,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, cap
 from .exact import exact
 from .geometry import AffineMap
 from .record import record
@@ -52,8 +52,6 @@ def herglotz_evaluate(measure: BoundaryAtoms, x: float, y: float) -> float:
     return total
 
 
-#: Pieces the adaptive quadrature may cut its interval into.
-_MAX_PIECES = 200
 #: Relative error the adaptive quadrature accepts.
 REL_TOL = 1e-8
 
@@ -71,7 +69,7 @@ def boundary_recover(func, a: float, b: float, y_probe: float = 1e-4,
     is cut at the breakpoints, then the piece with the largest error
     estimate is bisected until the summed estimate abserr meets
     abserr <= REL_TOL * max(|value|, 1), or QuadratureError is raised once
-    there are _MAX_PIECES pieces.
+    there are as many pieces as the quadrature-pieces cap allows.
 
     func must be smooth on each piece between the breakpoints.  The rule
     does not extrapolate: a singularity at a breakpoint is reached by
@@ -96,7 +94,8 @@ def boundary_recover(func, a: float, b: float, y_probe: float = 1e-4,
     while True:
         value = math.fsum(entry[3] for entry in heap)
         abserr = -math.fsum(entry[0] for entry in heap)
-        if abserr <= REL_TOL * max(abs(value), 1.0) or len(heap) >= _MAX_PIECES:
+        if (abserr <= REL_TOL * max(abs(value), 1.0)
+                or len(heap) >= cap("quadrature_pieces")):
             break
         _, lo, hi, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)

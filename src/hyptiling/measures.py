@@ -29,6 +29,7 @@ from .errors import (
     InconclusiveError,
     SizeError,
     UnsupportedSchemeError,
+    cap,
 )
 from .exact import decimal_string, log_ratio, scalar_to_json, to_float
 from .record import record
@@ -38,25 +39,19 @@ TRIANGLE = "triangle"
 PAPER = "paper"
 SCHEMES = (TRIANGLE, PAPER)
 
-#: Entries above this many bits abort deep compositions instead of thrashing.
-BIT_BUDGET = 10**6
-
-#: Entries one r x r matrix may hold, so r <= 256.
-MAX_MATRIX_ENTRIES = 2**16
-
 #: Weights up to this many bits multiply: cheaper there than shifts and an add.
 _SHIFT_BITS = 64
 
 
 def _require_matrices(model, scheme: str):
-    """A known scheme, and r x r matrices within MAX_MATRIX_ENTRIES."""
+    """A known scheme, and r x r matrices within the matrix-entries cap."""
     if scheme not in SCHEMES:
         raise UnsupportedSchemeError(
             f"unknown scheme {scheme!r}; expected one of {SCHEMES}"
         )
-    if model.r**2 > MAX_MATRIX_ENTRIES:
+    if model.r**2 > cap("matrix_entries"):
         raise SizeError(f"{model.r} x {model.r} matrices hold {model.r**2} "
-                        f"entries, over the cap {MAX_MATRIX_ENTRIES}")
+                        f"entries, over the cap {cap('matrix_entries')}")
 
 
 @record
@@ -133,13 +128,11 @@ def _paper_matrix(model, q: int) -> TransitionMatrix:
         )
     if q < 1:
         raise DomainError(f"published matrices start at level 1, got {q}")
-    if 2 * 3**q > 10**8:
-        raise BudgetError(
-            f"level-{q} published matrix needs 2*3**{q}-bit denominators"
-        )
     # ((1 + t, 1), (s, t + s)) with t = 2**(1 - 3**q), s = 2**(2 - 2*3**q),
-    # scaled by 2**shift = 1 / s.
+    # scaled by 2**shift = 1 / s, the entry of the most bits.
     shift = 2 * 3**q - 2
+    if over := _over_budget(q, 2, shift + 1):  # before any int is built
+        raise BudgetError(over)
     one, t = 1 << shift, 1 << (3**q - 1)
     ints = ((one + t, one), (1, t + 1))
     return TransitionMatrix(level=q, scheme=PAPER, ints=ints, shift=shift)
@@ -158,12 +151,26 @@ def _scaled(col, x: int):
     return map(add, terms, map(lshift, col, repeat(high.bit_length() - 1)))
 
 
+def _over_budget(q: int, r: int, bits: int) -> str:
+    """Why the entry or product budget refuses a product through level q of
+    r x r entries of up to `bits` bits; "" if neither does."""
+    if bits > cap("entry_bits"):
+        return (f"composition through level {q} exceeds the "
+                f"{cap('entry_bits')}-bit entry budget")
+    if r * r * bits > cap("product_bits"):
+        return (f"composition through level {q} exceeds the "
+                f"{cap('product_bits')}-bit product budget of {r} x {r} "
+                "entries")
+    return ""
+
+
 def _prefix_products(model, scheme: str, q_from: int, q_to: int):
     """Yield (q, exact product of the level matrices q_from .. q) for each
-    q in q_from .. q_to-1: the one composition loop of the package.  The
-    product is kept by columns; column j of the next one sums x times column
-    k over the nonzero entries x = (k, j) of the level matrix only; a weight
-    wider than _SHIFT_BITS is applied by `_scaled`."""
+    q in q_from .. q_to-1: the one composition loop of the package, and the
+    one place that refuses a product, by `_over_budget`, before yielding it.
+    The product is kept by columns; column j of the next one sums x times
+    column k over the nonzero entries x = (k, j) of the level matrix only; a
+    weight wider than _SHIFT_BITS is applied by `_scaled`."""
     cols, shift, add_maps = None, 0, partial(map, add)
     for q in range(q_from, q_to):
         level = transition_matrix(model, q, scheme)
@@ -176,29 +183,39 @@ def _prefix_products(model, scheme: str, q_from: int, q_to: int):
                 for weights in zip(*level.ints)]
         shift += level.shift
         # From a list: CPython's free lists keep tuples shrunk from a zip.
-        yield q, TransitionMatrix(level=q_from, scheme=scheme,
-                                  ints=tuple([*zip(*cols)]), shift=shift)
+        product = TransitionMatrix(level=q_from, scheme=scheme,
+                                   ints=tuple([*zip(*cols)]), shift=shift)
+        if over := _over_budget(q, model.r, product.entry_bits()):
+            raise BudgetError(over)
+        yield q, product
 
 
 def compose_range(model, scheme: str, q_from: int,
                   q_to: int) -> TransitionMatrix:
     """Exact product of the level matrices q_from .. q_to-1, left to right.
 
-    An empty range gives the identity.  Aborts with a budget error once any
-    reduced entry outgrows BIT_BUDGET bits.
+    An empty range gives the identity.  The product loop refuses a product
+    over the entry or product budget; a triangle range gets that refusal up
+    front where its column sums decide it: each column of the product of
+    levels q_from .. q sums to B, the product of their branchings, so its
+    entry bits lie between those of ceil(B / r) and B, and the first level
+    whose B is refused is the loop's if ceil(B / r) is refused alike.
     """
     _require_matrices(model, scheme)
     if q_from > q_to:
         raise DomainError(f"reversed level range [{q_from}, {q_to})")
+    total, r = 1, model.r
+    for q in range(q_from, q_to) if scheme == TRIANGLE and q_from >= 0 else ():
+        total *= model.branching(q)
+        if over := _over_budget(q, r, total.bit_length()):
+            if over == _over_budget(q, r, (-(-total // r)).bit_length()):
+                raise BudgetError(over)
+            break
     identity = tuple(tuple(int(i == j) for j in range(model.r))
                      for i in range(model.r))
     product = TransitionMatrix(level=q_from, scheme=scheme, ints=identity)
-    for q, product in _prefix_products(model, scheme, q_from, q_to):
-        if product.entry_bits() > BIT_BUDGET:
-            raise BudgetError(
-                f"composition through level {q} exceeds the "
-                f"{BIT_BUDGET}-bit entry budget"
-            )
+    for _, product in _prefix_products(model, scheme, q_from, q_to):
+        pass
     return product
 
 
@@ -407,7 +424,9 @@ def ergodic_measure_count(model, scheme: str = TRIANGLE,
     Vertices at depth m are the normalized columns of the exact product of
     level matrices 1 .. m-1.  The count is certified once two
     consecutive depths produce the same cluster count with every matched
-    vertex within the tolerance; otherwise the result is inconclusive.
+    vertex within the tolerance; otherwise the result is inconclusive.  A
+    product the loop refuses ends the count, with the refusal as its note;
+    the first, at depth 2, leaves no simplex, so its refusal propagates.
     Only the depths whose matched vertices settled, and the last, are clustered.
     """
     _require_matrices(model, scheme)
@@ -421,9 +440,6 @@ def ergodic_measure_count(model, scheme: str = TRIANGLE,
     prev_clusters, note, depth, moved = None, "", 2, math.inf
     try:
         for q, product in products:
-            if product.entry_bits() > BIT_BUDGET:
-                note = f"entry growth passed the {BIT_BUDGET}-bit budget at depth {q + 1}"
-                break
             cur, cur_clusters = tuple(zip(*product.ints)), None
             depth = q + 1
             moved = max(map(projective_distance, prev, cur))
@@ -459,40 +475,26 @@ def hull_membership(verts, point) -> tuple:
     Solves the linear system over Fractions; membership holds iff every
     coordinate is nonnegative (they sum to 1 automatically for simplex data).
     """
-    r = len(verts)
-    vec = [Fraction(v) for v in point]
+    r, vec = len(verts), [Fraction(v) for v in point]
     if len(vec) != r:
         raise DomainError("dimension mismatch")
     # Augmented system: columns are vertices, plus the affine constraint.
     matrix = [[Fraction(verts[j][i]) for j in range(r)] + [vec[i]]
-              for i in range(r)]
-    matrix.append([Fraction(1)] * r + [Fraction(1)])
-    cols = r
-    pivot_rows = []
-    row_used = [False] * len(matrix)
-    for c in range(cols):
-        pivot = None
-        for ri, row in enumerate(matrix):
-            if not row_used[ri] and row[c] != 0:
-                pivot = ri
-                break
+              for i in range(r)] + [[Fraction(1)] * (r + 1)]
+    pivots = []
+    for c in range(r):
+        pivot = next((ri for ri, row in enumerate(matrix)
+                      if ri not in pivots and row[c] != 0), None)
         if pivot is None:
             raise DegeneracyError("vertex matrix is singular")
-        row_used[pivot] = True
-        pivot_rows.append(pivot)
-        inv = 1 / matrix[pivot][c]
-        matrix[pivot] = [x * inv for x in matrix[pivot]]
+        pivots.append(pivot)
+        top = matrix[pivot] = [x / matrix[pivot][c] for x in matrix[pivot]]
         for ri, row in enumerate(matrix):
             if ri != pivot and row[c] != 0:
-                factor = row[c]
-                matrix[ri] = [x - factor * p for x, p in zip(row, matrix[pivot])]
-    for ri, row in enumerate(matrix):
-        if not row_used[ri] and row[cols] != 0:
-            raise DegeneracyError("inconsistent system: point outside affine span")
-    coords = [Fraction(0)] * cols
-    for c, ri in enumerate(pivot_rows):
-        coords[c] = matrix[ri][cols]
-    return tuple(coords)
+                matrix[ri] = [x - row[c] * p for x, p in zip(row, top)]
+    if any(row[r] for ri, row in enumerate(matrix) if ri not in pivots):
+        raise DegeneracyError("inconsistent system: point outside affine span")
+    return tuple(matrix[ri][r] for ri in pivots)
 
 
 def hull_contains(outer, inner) -> bool:
@@ -509,11 +511,12 @@ def hull_contains(outer, inner) -> bool:
 
 
 def _require_length(model, q: int):
-    """Refuse, from q alone, a level-q word length over BIT_BUDGET bits."""
-    if _log2_length(model, q) > BIT_BUDGET:
+    """Refuse, from q alone, a level-q word length over the entry budget."""
+    if _log2_length(model, q) > cap("entry_bits"):
         if model.name == "toeplitz":  # past max_depth, the cap error first
             model.branching(min(q - 1, model.max_depth))
-        raise BudgetError(f"level-{q} word length is over the {BIT_BUDGET}-bit cap")
+        raise BudgetError(f"level-{q} word length is over the "
+                          f"{cap('entry_bits')}-bit cap")
 
 
 @record
@@ -544,8 +547,8 @@ def mass_conservation_check(model, scheme: str, q: int) -> MassResiduals:
     Weights are word lengths, i.e. patch areas in units of the prototile
     leafwise area.  The triangle scheme conserves mass identically; the
     published closed-form matrices do not, and the exact residual is the
-    cleanest statement of that mismatch.  A level-(q+1) length over
-    BIT_BUDGET bits is refused from q alone, once the matrix is built.
+    cleanest statement of that mismatch.  A level-(q+1) length over the
+    entry budget is refused from q alone, once the matrix is built.
     """
     matrix = transition_matrix(model, q, scheme)
     _require_length(model, q + 1)
@@ -586,7 +589,7 @@ def measure_frequencies(model, scheme: str, measure_index: int,
     The measure indexed by a stabilized cluster is anchored at that cluster's
     lowest column letter; its depth-q frequencies are the letter counts of
     the level-q word `anchor`, column `anchor` of the triangle product of
-    levels 0 .. q-1, over the word length.  A length over BIT_BUDGET bits,
+    levels 0 .. q-1, over the word length.  A length over the entry budget,
     which bounds the counts, is refused from q alone, before any product.
     scheme names the matrices the count was made with and is not read.
     """

@@ -21,13 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import CapError, DomainError, SizeError
-
-MAX_TILES = 50_000
-#: Points of one tile outline.  A window far narrower than a tile shrinks the
-#: world tolerance until every arc bisects to depth 16 (196,610 points); arcs
-#: of depth 13 (24,578 points) still fit.
-MAX_OUTLINE_POINTS = 32_768
+from .errors import CapError, DomainError, SizeError, cap
 
 DEFAULT_PALETTE = (
     "#4e79a7", "#f28e2b", "#59a14c", "#e15759", "#b07aa1",
@@ -129,16 +123,16 @@ def render_svg(model, rows, x_range, out_path, overlay_levels=(),
         n_lo = math.floor(x_min / width)
         n_hi = math.ceil(x_max / width)
         drawn += n_hi - n_lo
-        if drawn > MAX_TILES:
+        if drawn > cap("tiles"):
             raise SizeError(
-                f"window holds more than {MAX_TILES} tiles; "
+                f"window holds more than {cap('tiles')} tiles; "
                 "shrink the x-range or raise the lowest row"
             )
         outline = _row_outline(width, tol_world)
-        if len(outline) > MAX_OUTLINE_POINTS:
+        if len(outline) > cap("outline_points"):
             raise SizeError(
                 f"a row-{row} tile outline holds {len(outline)} points, more "
-                f"than {MAX_OUTLINE_POINTS}; widen the x-range or raise the "
+                f"than {cap('outline_points')}; widen the x-range or raise the "
                 "tolerance"
             )
         fill = UNCOLORED
@@ -161,9 +155,9 @@ def render_svg(model, rows, x_range, out_path, overlay_levels=(),
             spans.append((h, n_lo, n_hi))
             boxes += n_hi - n_lo
         levels.append((q, spans))
-        if boxes > MAX_TILES:
+        if boxes > cap("tiles"):
             raise SizeError(
-                f"overlays hold more than {MAX_TILES} boxes; "
+                f"overlays hold more than {cap('tiles')} boxes; "
                 "shrink the x-range or raise the lowest row"
             )
 

@@ -22,17 +22,11 @@ import sys
 from collections.abc import Iterable
 from itertools import chain
 
-from .errors import CapError, DomainError, ModelError, SizeError
+from .errors import CapError, DomainError, ModelError, SizeError, cap
 from .record import record
 
 Letter = int  # letters are 1-based: 1..r
 Word = tuple  # tuple of Letter
-
-#: Windows and atlas words longer than this are refused with a SizeError.
-DEFAULT_MATERIALIZE_LIMIT = 10**6
-#: `atlas_words` refuses, from q alone, a level whose word length has more
-#: digits than this: building that length would take seconds or minutes.
-_LENGTH_DIGITS = 10**5
 
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # letters as digits
 
@@ -269,12 +263,12 @@ class SubstitutionModel:
 
 def window(model, start: int, stop: int) -> Word:
     """Letters at positions start..stop-1 of the model's sequence, at most
-    DEFAULT_MATERIALIZE_LIMIT of them."""
+    the letters cap of them."""
     if stop < start:
         raise DomainError(f"empty-or-reversed window [{start}, {stop})")
-    if stop - start > DEFAULT_MATERIALIZE_LIMIT:
+    if stop - start > cap("letters"):
         raise SizeError(f"window of {_size_text(stop - start)} letters is over "
-                        f"the cap {DEFAULT_MATERIALIZE_LIMIT}")
+                        f"the cap {cap('letters')}")
     letters, undetermined = _labels(model, 0, start, stop)
     if undetermined >= 0:
         model.block_letter(0, start + undetermined)  # raises the cap error
@@ -375,10 +369,12 @@ class AtlasWord:
     q: int
     length: int
 
-    def word(self, letter: Letter, max_letters: int = DEFAULT_MATERIALIZE_LIMIT) -> Word:
-        """Materialize the word of `letter`; refuses above max_letters."""
+    def word(self, letter: Letter, max_letters: int = None) -> Word:
+        """Materialize the word of `letter`; refuses above max_letters, by
+        default the letters cap."""
         if not (1 <= letter <= self.model.r):
             raise DomainError(f"letter {letter} outside 1..{self.model.r}")
+        max_letters = cap("letters") if max_letters is None else max_letters
         if self.length > max_letters:
             raise SizeError(
                 f"level-{self.q} word has {_size_text(self.length)} letters, "
@@ -395,15 +391,16 @@ def _log2_length(model, q: int) -> float:
 
 
 def atlas_words(model, q: int) -> AtlasWord:
-    """The level-q atlas of `model`, refused past _LENGTH_DIGITS."""
+    """The level-q atlas of `model`, refused from q alone past the
+    length-digits cap: building that length would take seconds or minutes."""
     if q < 0:
         raise DomainError(f"level must be >= 0, got {q}")
     digits = _log2_length(model, q) * math.log10(2)
-    if digits > _LENGTH_DIGITS:
+    if digits > cap("length_digits"):
         model.branching(q - 1)  # past max_depth: level_length's cap error
         low = int(digits * (1 - 1e-12))  # under the float error of `digits`
         raise SizeError(f"level-{q} word has at least 10^{low} letters, over "
-                        f"the cap {DEFAULT_MATERIALIZE_LIMIT}")
+                        f"the cap {cap('letters')}")
     return AtlasWord(model=model, q=q, length=model.level_length(q))
 
 

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -84,8 +85,8 @@ def test_knobs_only_tests_turned_are_constants():
     """Parameters that no command, check or benchmark sets to a second value
     are module constants, the two functions that could recompute their input
     take it from the caller, and `verify` runs one fixed set of ranges."""
-    from hyptiling import (cli, diffusion, errors, geometry, harmonic, measures,
-                           render, verification)
+    from hyptiling import (cli, diffusion, errors, harmonic, measures, render,
+                           verification)
 
     removed = {
         hyptiling.compose_range: ("bit_budget",),
@@ -108,7 +109,7 @@ def test_knobs_only_tests_turned_are_constants():
                        (hyptiling.measure_frequencies, "stabilization")):
         param = inspect.signature(func).parameters[name]
         assert param.default is inspect.Parameter.empty, func
-    assert (measures.BIT_BUDGET, geometry.MAX_CLASSES, harmonic.REL_TOL,
+    assert (errors.cap("entry_bits"), errors.cap("classes"), harmonic.REL_TOL,
             verification._SEED) == (10**6, 2**20, 1e-8, 2024)
     for module, name in ((cli, "_UNSET"), (cli, "_unset"),
                          (render, "_FILL_ESCAPES"),
@@ -232,6 +233,45 @@ def test_every_public_name_has_a_reader():
             if node.name not in others | own | outside | set(UNREAD_KEPT):
                 unread.append(f"{stem}.{node.name}")
     assert unread == []
+
+
+
+#: The module constants the cap table replaced.
+OLD_CAPS = ("BIT_BUDGET", "MAX_MATRIX_ENTRIES", "DEFAULT_MATERIALIZE_LIMIT",
+            "_LENGTH_DIGITS", "_ATLAS_LETTERS", "_LEVELS", "MAX_CLASSES",
+            "MAX_STEPS", "MAX_PATHS", "MAX_TRACE_POINTS", "MAX_TILES",
+            "MAX_OUTLINE_POINTS", "_MAX_PIECES")
+
+
+def test_every_cap_is_in_the_table_and_read():
+    """Each `errors.CAPS` entry is a positive limit with its unit and is read
+    by a `cap(...)` call in a package module, each such call names an entry,
+    and no module defines a cap constant of its own (exit codes aside)."""
+    from hyptiling.errors import CAPS
+
+    assert all(isinstance(limit, int) and limit > 0 and unit
+               for limit, unit in CAPS.values())
+    read, defined = [], []
+    for path in pathlib.Path(hyptiling.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        read += [ast.literal_eval(node.args[0]) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "cap"]
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            defined += [f"{path.stem}.{leaf.id}" for target in targets
+                        for leaf in ast.walk(target)
+                        if isinstance(leaf, ast.Name)
+                        and re.search(r"MAX|LIMIT|BUDGET|CAP", leaf.id)
+                        and not leaf.id.startswith("EXIT_")]
+    assert set(read) == set(CAPS)
+    assert defined == ["errors.CAPS"]
+    modules = [importlib.import_module(f"hyptiling.{info.name}")
+               for info in pkgutil.iter_modules(hyptiling.__path__)]
+    assert [(m.__name__, name) for m in modules for name in OLD_CAPS
+            if hasattr(m, name)] == []
 
 
 def test_one_count_loop():

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -801,8 +802,8 @@ class TestDiffuse:
 
 
 class TestSizeCaps:
-    """r x r matrices stop at r = 256 and `--level` at 10^4, with exit 5
-    before anything that grows with them is built."""
+    """r x r matrices stop at r = 256, and `--level` and `--depth` at 10^4,
+    with exit 5 before anything that grows with them is built."""
 
     @pytest.mark.parametrize("command", [
         ["matrices", "--level", "1"], ["matrices", "--from", "2", "--to", "2"],
@@ -838,21 +839,25 @@ class TestSizeCaps:
         assert (matrix["rows"], len(matrix["entries"])) == (256, 256)
 
     @pytest.mark.parametrize("command, first_call", [
-        (["atlas", "--letter", "1"], "cli.atlas_words"),
-        (["matrices"], "measures.transition_matrix"),
-        (["frequencies"], "measures.ergodic_measure_count"),
-        (["diffuse"], "diffusion.run_paths"),
-    ], ids=["atlas", "matrices", "frequencies", "diffuse"])
+        (["atlas", "--letter", "1", "--level"], "cli.atlas_words"),
+        (["matrices", "--level"], "measures.transition_matrix"),
+        (["frequencies", "--level"], "measures.ergodic_measure_count"),
+        (["diffuse", "--level"], "diffusion.run_paths"),
+        (["measures", "--depth"], "measures.ergodic_measure_count"),
+        (["frequencies", "--level", "1", "--depth"],
+         "measures.ergodic_measure_count"),
+    ], ids=["atlas", "matrices", "frequencies", "diffuse", "measures-depth",
+            "frequencies-depth"])
     def test_level_cap_exits_before_any_library_call(self, monkeypatch, command,
                                                      first_call):
         calls = []
         monkeypatch.setattr(f"hyptiling.{first_call}",
                             lambda *args, **kwargs: calls.append(args))
-        code, out, err = run([*command, "--model", "substitution",
-                              "--level", "10001"])
+        code, out, err = run([*command, "10001", "--model", "substitution"])
         assert code == 5
         assert_short_error(out, err)
-        assert "--level 10001 is over the cap 10000" in err and calls == []
+        assert f"{command[-1]} 10001 is over the cap 10000" in err
+        assert calls == []
 
     def test_matrices_range_cap_exits_before_any_matrix(self, monkeypatch):
         calls = []
@@ -957,6 +962,111 @@ class TestSizeCaps:
         assert code == 5
         assert_short_error(out, err)
         assert "100001 paths exceeds the 100000 path cap" in err
+
+
+def run_cold(argv, limit=1 << 29, timeout=60):
+    """(exit code, stdout, stderr, seconds) of `python -m hyptiling argv` in
+    a fresh interpreter whose address space is held to `limit` bytes."""
+    def hold():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "hyptiling", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=hold)
+    return (proc.returncode, proc.stdout, proc.stderr,
+            time.perf_counter() - start)
+
+
+TOEPLITZ_DEEP = ["--model", "toeplitz", "--max-depth", "10000"]
+SUB_ONLY = ["--model", "substitution"]
+
+#: For each cap of `errors.CAPS` a command can reach: a command just under
+#: it with its exit code (None where it takes seconds: 10^5 paths run 7 s),
+#: and the same command just over it, with a part of its refusal.  Under the
+#: length-digits cap the level-647 word is built and still too long to print.
+CAP_EDGES = [
+    ("entry_bits", ["matrices", *SUB_ONLY, "--scheme", "paper", "--level"],
+     "11", 0, "12", "12 exceeds the 1000000-bit entry budget"),
+    ("product_bits", ["matrices", *TOEPLITZ_DEEP, "--r", "256", "--from"],
+     "1292 --to 1293", 0, "1293 --to 1294",
+     "134217728-bit product budget of 256 x 256 entries"),
+    ("matrix_entries", ["certify", "--model", "toeplitz", "--from", "1",
+                        "--to", "2", "--r"], "256", 0, "257",
+     "257 x 257 matrices hold 66049 entries, over the cap 65536"),
+    ("letters", ["gen", *SUB_ONLY, "--from", "0", "--to"], "1000000", 0,
+     "1000001", "window of 1000001 letters is over the cap 1000000"),
+    ("atlas_letters", ["atlas", *SUB_ONLY, "--level"], "12", 0, "13",
+     "words hold 3188646 letters together, over the cap 2000000"),
+    ("length_digits", ["atlas", *TOEPLITZ_DEEP, "--letter", "1", "--level"],
+     "647", 5, "648", "level-648 word has at least 10^100018 letters"),
+    ("levels", ["measures", *SUB_ONLY, "--depth"], "10000", 0, "10001",
+     "--depth 10001 is over the cap 10000"),
+    ("levels", ["certify", *SUB_ONLY, "--from", "0", "--to"], "10000", 0,
+     "10001", "10001 levels are over the cap 10000"),
+    ("steps", ["diffuse", *SUB_ONLY, "--paths", "1", "--horizon"], "100000",
+     0, "100000.001", "100000001 steps exceeds the 100000000 step cap"),
+    ("paths", ["diffuse", *SUB_ONLY, "--horizon", "0.001", "--paths"],
+     "100000", None, "100001", "100001 paths exceeds the 100000 path cap"),
+    ("trace_points", ["diffuse", *SUB_ONLY, "--paths", "1", "--dt", "1",
+                      "--stride", "1", "--horizon"], "999999", 0, "1000000",
+     "1000001 trace points exceeds the 1000000 point cap"),
+    ("tiles", ["render", "--rows", "0", "0", "--x", "0"], "50000", 0, "50001",
+     "window holds more than 50000 tiles"),
+    ("outline_points", ["render", "--rows", "0", "0", "--x", "0"], "0.001",
+     0, "0.0005", "tile outline holds 32770 points, more than 32768"),
+]
+
+#: Caps no command reaches: `verify` alone lists occurrence classes and
+#: runs the quadrature, on fixed small cases.
+UNREACHED_CAPS = {"classes", "quadrature_pieces"}
+
+
+class TestCapEdges:
+    """Every cap a command reaches, run cold at its edge, one child at a
+    time under an address-space limit: just under finishes, just over exits
+    5 within a second."""
+
+    def test_every_cap_has_an_edge_or_is_unreached(self):
+        from hyptiling.errors import CAPS
+
+        edged = {case[0] for case in CAP_EDGES}
+        assert edged | UNREACHED_CAPS == set(CAPS)
+        assert not edged & UNREACHED_CAPS
+
+    @pytest.mark.parametrize("cap, argv, under, code, over, refusal", CAP_EDGES,
+                             ids=[f"{case[0]}-{case[1][0]}" for case in CAP_EDGES])
+    def test_cap_edge(self, tmp_path, cap, argv, under, code, over, refusal):
+        if argv[0] == "render":
+            argv = ["render", "--out", str(tmp_path / "tiles.svg"), *argv[1:]]
+        if code is not None:
+            got = run_cold(argv + under.split())
+            assert got[0] == code, got[2]
+        got = run_cold(argv + over.split())
+        assert got[:2] == (5, "") and refusal in got[2], got[2]
+        assert got[3] < 1.0
+
+    @pytest.mark.parametrize("argv, code, seconds, message", [
+        (["matrices", *TOEPLITZ_DEEP, "--r", "64", "--from", "0", "--to",
+          "300"], 5, 2.0, "error: composition through level 203 exceeds the "
+         "134217728-bit product budget of 64 x 64 entries\n"),
+        (["measures", *TOEPLITZ_DEEP, "--r", "256", "--depth", "2000"], 6,
+         15.0, "composition through level 51 exceeds the 134217728-bit "
+         "product budget of 256 x 256 entries"),
+        (["certify", *SUB_ONLY, "--scheme", "paper", "--from", "16", "--to",
+          "17"], 5, 1.0, "error: composition through level 16 exceeds the "
+         "1000000-bit entry budget\n"),
+    ], ids=["matrices-rank-64", "measures-rank-256", "certify-paper-16"])
+    def test_products_past_the_box_stop(self, argv, code, seconds, message):
+        """Inputs within every other cap whose exact products grow to
+        hundreds of megabytes and minutes: a rank-64 range of 300 levels, a
+        rank-256 count 2,000 levels deep and the level-16 closed form."""
+        got = run_cold(argv, timeout=10 * seconds)
+        assert got[0] == code and got[3] < seconds
+        if code == 6:  # the count stops at the product budget, with a note
+            assert json.loads(got[1])["note"] == message
+        else:
+            assert got[1:3] == ("", message)
 
 
 class TestRender:

@@ -30,11 +30,10 @@ from hyptiling import diffusion
 from hyptiling.diffusion import (
     CHUNK,
     LN2,
-    MAX_PATHS,
-    MAX_TRACE_POINTS,
     _noise,
     expected_block_fractions,
 )
+from hyptiling.errors import cap
 from oracles import deepened_block_fractions
 
 SUB = SubstitutionModel.standard()
@@ -69,11 +68,12 @@ class TestConfig:
         with pytest.raises(SizeError, match="100000050 trace points"):
             DiffusionConfig(SUB, trace_stride=1)
         # one path of n steps keeps n + 1 points
-        DiffusionConfig(SUB, dt=1.0, horizon=MAX_TRACE_POINTS - 1.0, paths=1,
+        points = cap("trace_points")
+        DiffusionConfig(SUB, dt=1.0, horizon=points - 1.0, paths=1,
                         trace_stride=1)
         with pytest.raises(SizeError):
-            DiffusionConfig(SUB, dt=1.0, horizon=float(MAX_TRACE_POINTS),
-                            paths=1, trace_stride=1)
+            DiffusionConfig(SUB, dt=1.0, horizon=float(points), paths=1,
+                            trace_stride=1)
         DiffusionConfig(SUB, trace_stride=200)  # 50 * 10,001 points
         DiffusionConfig(SUB, dt=1.0, horizon=1e7, trace_stride=0)
 
@@ -83,8 +83,10 @@ class TestConfig:
 
         monkeypatch.setattr(diffusion, "simulate_path", no_path)
         with pytest.raises(SizeError, match="100001 paths exceeds the 100000"):
-            run_paths(DiffusionConfig(SUB, horizon=1e-3, paths=MAX_PATHS + 1))
-        assert DiffusionConfig(SUB, horizon=1e-3, paths=MAX_PATHS).paths == MAX_PATHS
+            run_paths(DiffusionConfig(SUB, horizon=1e-3,
+                                      paths=cap("paths") + 1))
+        config = DiffusionConfig(SUB, horizon=1e-3, paths=cap("paths"))
+        assert config.paths == cap("paths")
 
     def test_model_is_stored_as_itself(self):
         model = ToeplitzModel.of_rank(2)

@@ -35,7 +35,7 @@ from hyptiling import (
     projective_distance,
     transition_matrix,
 )
-from hyptiling import measures
+from hyptiling import errors, measures
 from hyptiling.exact import reduce_dyadic
 from oracles import hilbert_distance_segment
 
@@ -156,7 +156,7 @@ class TestComposition:
             compose_range(SUB, TRIANGLE, 3, 1)
 
     def test_bit_budget(self, monkeypatch):
-        monkeypatch.setattr(measures, "BIT_BUDGET", 64)
+        monkeypatch.setitem(errors.CAPS, "entry_bits", (64, "bits"))
         with pytest.raises(BudgetError):
             compose_range(T2, TRIANGLE, 1, 12)
 
@@ -576,15 +576,20 @@ def fraction_clusters(vertices, tol):
 
 def fraction_ergodic(model, scheme, tol=1e-6, max_depth=36, base=1,
                      budget=10**6):
-    """(count, status, depth, clusters, witnesses, note) by Fractions."""
+    """(count, status, depth, clusters, witnesses, note) by Fractions; a
+    first level over the budget leaves no simplex and is refused."""
     rows = fraction_level(model, base, scheme)
+    if fraction_bits(rows) > budget:
+        raise BudgetError(f"composition through level {base} exceeds the "
+                          f"{budget}-bit entry budget")
     prev = fraction_vertices(rows)
     prev_clusters = fraction_clusters(prev, tol)
     note, depth = "", base + 1
     for m in range(base + 2, max_depth + 1):
         rows = fraction_mul(rows, fraction_level(model, m - 1, scheme))
         if fraction_bits(rows) > budget:
-            note = f"entry growth passed the {budget}-bit budget at depth {m}"
+            note = (f"composition through level {m - 1} exceeds the "
+                    f"{budget}-bit entry budget")
             break
         cur = fraction_vertices(rows)
         cur_clusters = fraction_clusters(cur, tol)
@@ -644,7 +649,7 @@ class TestIntegerRepresentation:
     def test_compose_matches_fraction_product(self, case, budget):
         model, scheme, q_from, q_to = case
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(measures, "BIT_BUDGET", budget)
+            patch.setitem(errors.CAPS, "entry_bits", (budget, "bits"))
             got = outcome(
                 lambda: compose_range(model, scheme, q_from, q_to).rows)
         want = outcome(
@@ -731,11 +736,46 @@ class TestIntegerRepresentation:
         if scheme == PAPER and name != "sub":
             scheme = TRIANGLE
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(measures, "BIT_BUDGET", budget)
-            got = ergodic_measure_count(model, scheme, max_depth=max_depth)
-        want = fraction_ergodic(model, scheme, max_depth=max_depth,
-                                budget=budget)
-        assert ergodic_tuple(got) == want
+            patch.setitem(errors.CAPS, "entry_bits", (budget, "bits"))
+            got = outcome(lambda: ergodic_tuple(ergodic_measure_count(
+                model, scheme, max_depth=max_depth)))
+        want = outcome(lambda: fraction_ergodic(model, scheme,
+                                                max_depth=max_depth,
+                                                budget=budget))
+        assert got == want
+
+    @given(model=st.one_of(
+               st.integers(1, 12).map(ToeplitzModel.of_rank),
+               st.just(SUB), fixed_point_rules()),
+           q_from=st.integers(0, 30), levels=st.integers(1, 12),
+           entry=st.one_of(st.just(10**6), st.integers(1, 3000)),
+           product=st.one_of(st.just(2**27), st.integers(1, 60000)))
+    @settings(max_examples=150, deadline=None)
+    def test_refusal_from_sums_is_the_loops(self, model, q_from, levels,
+                                            entry, product):
+        """compose_range refuses up front, from the column sums, only where
+        the product loop refuses, and with its message."""
+        q_to = q_from + levels  # within a Toeplitz model's depth 48
+
+        def loop_alone():
+            for _, last in measures._prefix_products(model, TRIANGLE, q_from,
+                                                     q_to):
+                pass
+            return last.ints
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(errors.CAPS, "entry_bits", (entry, "bits"))
+            patch.setitem(errors.CAPS, "product_bits", (product, "bits"))
+            got = outcome(lambda: compose_range(model, TRIANGLE, q_from,
+                                                q_to).ints)
+            assert got == outcome(loop_alone)
+
+    def test_sums_refuse_before_any_level_matrix(self, monkeypatch):
+        monkeypatch.setattr(measures, "transition_matrix", None)
+        model = ToeplitzModel.of_rank(64, max_depth=10000)
+        with pytest.raises(BudgetError, match="through level 203 exceeds the "
+                           "134217728-bit product budget of 64 x 64 entries"):
+            compose_range(model, TRIANGLE, 0, 300)
 
     def test_paper_levels_are_integers_over_one_shift(self):
         for q in (1, 2, 3):
@@ -783,7 +823,7 @@ class TestIntegerRepresentation:
     ], ids=["t2", "sub-triangle", "sub-paper", "t8"])
     def test_budget_error_level(self, monkeypatch, model, scheme, q_from, q_to,
                                 budget, level):
-        monkeypatch.setattr(measures, "BIT_BUDGET", budget)
+        monkeypatch.setitem(errors.CAPS, "entry_bits", (budget, "bits"))
         with pytest.raises(BudgetError, match=f"through level {level} exceeds"):
             compose_range(model, scheme, q_from, q_to)
 

@@ -15,8 +15,8 @@ from hyptiling import (
     ToeplitzModel,
     render_svg,
 )
+from hyptiling.errors import cap
 from hyptiling.render import (
-    MAX_OUTLINE_POINTS,
     UNCOLORED,
     _arc_points,
     _row_outline,
@@ -157,7 +157,7 @@ class TestRenderCounts:
         # a window 1/1000 of the tile wide: 24,578 points per outline
         out = tmp_path / "narrow.svg"
         assert render_svg(None, (0, 0), (0.0, 1e-3), str(out)) == 1
-        assert 24_578 <= MAX_OUTLINE_POINTS < 32_770
+        assert 24_578 <= cap("outline_points") < 32_770
         out.unlink()
         for width in (5e-4, 1e-300):  # 32,770 and 196,610 points
             with pytest.raises(SizeError, match="outline"):

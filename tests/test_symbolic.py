@@ -24,7 +24,8 @@ from hyptiling import (
     window,
     word_to_str,
 )
-from hyptiling.symbolic import DEFAULT_MATERIALIZE_LIMIT, block_labels
+from hyptiling.errors import cap
+from hyptiling.symbolic import block_labels
 from oracles import (AlignmentError, block_decompose, expanded_label_counts,
                      letter_at, substitution_image, word_from_str)
 
@@ -159,7 +160,7 @@ class TestToeplitzLetters:
 
     def test_window_cap(self):
         sub = SubstitutionModel.standard()
-        limit = DEFAULT_MATERIALIZE_LIMIT
+        limit = cap("letters")
         assert len(window(sub, -5, limit - 5)) == limit
         with pytest.raises(SizeError, match="cap"):
             window(sub, -5, limit - 4)
