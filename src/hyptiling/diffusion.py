@@ -9,17 +9,19 @@ crossings, the height law) depends on u alone and no horizontal coordinate
 is walked.
 
 Each path draws its du noise from one Philox stream, in chunks of CHUNK
-steps so that memory per path stays constant.  The two execution modes
-read the same stream and agree bit for bit.  "fast" draws into per-path
-buffers that every chunk reuses (cumsum, division by ln 2 and floor run in
-place) and reads occupancy, colorability and crossings from the runs of
-equal rows alone; "full" walks the same chain step by step, an independent
-route to the same fields.
+steps so that its noise memory stays constant; its occupancy keeps one entry
+per row visited, about T / (2 ln 2) under the drift, and the rows cap bounds
+that over a run.  The two execution modes read the same stream and agree bit
+for bit.  "fast" draws into per-path buffers that every chunk reuses (cumsum,
+division by ln 2 and floor run in place) and reads occupancy, colorability
+and crossings from the runs of equal rows alone; "full" walks the same chain
+step by step, an independent route to the same fields.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import chain
 
 from .errors import CapError, DomainError, SizeError, cap
@@ -70,6 +72,10 @@ class DiffusionConfig:
         if self.paths > cap("paths"):
             raise SizeError(f"{_size_text(self.paths)} paths exceeds the "
                             f"{cap('paths')} path cap")
+        rows = self.paths * math.ceil(self.horizon / (2 * LN2))
+        if rows > cap("rows"):
+            raise SizeError(f"{_size_text(rows)} rows exceeds the {cap('rows')} "
+                            "row cap; a path crosses about T / (2 ln 2) rows")
 
     @property
     def n_steps(self) -> int:
@@ -247,22 +253,15 @@ def _walk_full(config: DiffusionConfig, start: LeafState,
     n = config.n_steps
     # memoryview yields each chunk's doubles without building lists; safe
     # because _noise overwrites its buffer only once the chunk is consumed.
-    steps = chain.from_iterable(
-        zip(range(done, done + len(du)), memoryview(du))
-        for done, du in zip(range(0, n, CHUNK), _noise(config, path_index))
-    )
-    colorable = {}
-
-    def is_colorable(r: int) -> bool:
-        if r not in colorable:
-            colorable[r] = block_labels(config.model, 0, r, r + 1)[0] is not None
-        return colorable[r]
-
+    steps = enumerate(chain.from_iterable(map(memoryview,
+                                              _noise(config, path_index))))
+    colorable = cache(lambda r: block_labels(config.model, 0, r, r + 1)[0]
+                      is not None)  # each row's color, looked up once
     u, row = start.u, start.row
     row_steps, trace, stop_row = {}, [], None
     crossings, steps_used = 0, n
     stride = config.trace_stride
-    row_ok = is_colorable(row)
+    row_ok = colorable(row)
     entered = 0  # the step at which the walk entered the current row
 
     for k, du in steps:
@@ -279,7 +278,7 @@ def _walk_full(config: DiffusionConfig, start: LeafState,
             entered = k + 1
             crossings += abs(new_row - row)
             row = new_row
-            row_ok = is_colorable(row)
+            row_ok = colorable(row)
     if steps_used > entered:
         row_steps[row] = row_steps.get(row, 0) + steps_used - entered
     if stride > 0 and stop_row is None and n % stride == 0:

@@ -18,12 +18,14 @@ CAPS = {
     "matrix_entries": (2**16, "entries"),  # r x r, so r <= 256
     "letters": (10**6, "letters"),  # one window or atlas word
     "atlas_letters": (2 * 10**6, "letters"),  # both level-12 words fit
-    "length_digits": (10**5, "digits"),  # an atlas word length, from q alone
     "levels": (10**4, "levels"),  # --level, --depth, a --from/--to span
     "classes": (2**20, "classes"),  # one per block of the parent word
     "steps": (10**8, "steps"),  # one diffusion path
     "paths": (10**5, "paths"),  # one run keeps each result, about 0.7 KB
     "trace_points": (10**6, "points"),  # one run's, about 160 bytes each
+    # paths * ceil(T / (2 ln 2)), the drift's estimate; at dt = 10^-3 single
+    # paths visit up to 119 rows at T = 100 (73 estimated), 1,534 at T = 2000
+    "rows": (10**6, "rows"),
     "tiles": (50_000, "tiles"),  # one render window, or its overlay boxes
     "outline_points": (32_768, "points"),  # depth-13 arcs fit, not depth 16
     "quadrature_pieces": (200, "pieces"),  # `boundary_recover`'s interval

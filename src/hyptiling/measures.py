@@ -33,7 +33,7 @@ from .errors import (
 )
 from .exact import decimal_string, log_ratio, scalar_to_json, to_float
 from .record import record
-from .symbolic import SubstitutionModel, _log2_length
+from .symbolic import SubstitutionModel, _require_length
 
 TRIANGLE = "triangle"
 PAPER = "paper"
@@ -508,15 +508,6 @@ def hull_contains(outer, inner) -> bool:
 
 # ---------------------------------------------------------------------------
 # Mass conservation and frequencies
-
-
-def _require_length(model, q: int):
-    """Refuse, from q alone, a level-q word length over the entry budget."""
-    if _log2_length(model, q) > cap("entry_bits"):
-        if model.name == "toeplitz":  # past max_depth, the cap error first
-            model.branching(min(q - 1, model.max_depth))
-        raise BudgetError(f"level-{q} word length is over the "
-                          f"{cap('entry_bits')}-bit cap")
 
 
 @record

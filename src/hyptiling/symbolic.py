@@ -22,7 +22,7 @@ import sys
 from collections.abc import Iterable
 from itertools import chain
 
-from .errors import CapError, DomainError, ModelError, SizeError, cap
+from .errors import BudgetError, CapError, DomainError, ModelError, SizeError, cap
 from .record import record
 
 Letter = int  # letters are 1-based: 1..r
@@ -390,17 +390,22 @@ def _log2_length(model, q: int) -> float:
             else q * math.log2(model.length))
 
 
+def _require_length(model, q: int):
+    """The one level-size rule: refuse level q from q alone when its length
+    needs more bits than the entry budget (the level-10^4 Toeplitz length
+    has 79 million bits, seconds to build), first with the model's cap error
+    if q is past a Toeplitz max_depth."""
+    if q > 0 and _log2_length(model, q) >= cap("entry_bits"):
+        model.branching(q - 1)  # past max_depth: level_length's cap error
+        raise BudgetError(f"level-{q} word length is over the "
+                          f"{cap('entry_bits')}-bit cap")
+
+
 def atlas_words(model, q: int) -> AtlasWord:
-    """The level-q atlas of `model`, refused from q alone past the
-    length-digits cap: building that length would take seconds or minutes."""
+    """The level-q atlas of `model`, refused from q alone by the size rule."""
     if q < 0:
         raise DomainError(f"level must be >= 0, got {q}")
-    digits = _log2_length(model, q) * math.log10(2)
-    if digits > cap("length_digits"):
-        model.branching(q - 1)  # past max_depth: level_length's cap error
-        low = int(digits * (1 - 1e-12))  # under the float error of `digits`
-        raise SizeError(f"level-{q} word has at least 10^{low} letters, over "
-                        f"the cap {cap('letters')}")
+    _require_length(model, q)
     return AtlasWord(model=model, q=q, length=model.level_length(q))
 
 

@@ -287,6 +287,25 @@ def test_one_count_loop():
     assert readers == {"measures.transition_matrix"}
 
 
+def test_one_level_size_rule():
+    """Within the package, only `symbolic._require_length` reads
+    `_log2_length`: atlas words, frequencies and mass residuals refuse a
+    level's length through that one rule, and no `measures` function tells
+    the models apart by `model.name`."""
+    package = pathlib.Path(hyptiling.__file__).parent
+    readers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.FunctionDef)
+                    and "_log2_length" in _reads(node.body)):
+                readers.add(f"{path.stem}.{node.name}")
+    assert readers == {"symbolic._require_length"}
+    tree = ast.parse((package / "measures.py").read_text())
+    assert [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and "name" in _reads([node.left, *node.comparators])] == []
+
+
 def _chains(tree, roots):
     """Dotted attribute chains, such as `symbolic.ToeplitzModel.of_rank`,
     that start at one of the names `roots`; the longest chain of each run."""

@@ -177,7 +177,8 @@ class TestAtlas:
     def test_deep_toeplitz_level_exits_before_any_length(self, monkeypatch,
                                                          flags):
         """A level whose length has millions of digits is refused from q
-        alone, with a power of ten under p_q = 3**(1 + q(q-1)/2)."""
+        alone, by the level-size rule that `frequencies` and `matrices`
+        read: p_q = 3**(1 + q(q-1)/2) has more than 10^6 bits."""
         def no_length(*args):
             raise AssertionError("a level length was built")
 
@@ -186,12 +187,8 @@ class TestAtlas:
                               "100000", "--level", "6000", *flags])
         assert code == 5
         assert_short_error(out, err)
-        exponent = 1 + 6000 * 5999 // 2
-        power = int(err.split("at least 10^")[1].split()[0])
-        # log10(3) = 0.47712125471966..., so both bounds hold exactly
-        assert exponent * 0.4771212547 - 1 < power <= exponent * 0.4771212547
-        assert err == (f"error: level-6000 word has at least 10^{power} "
-                       "letters, over the cap 1000000\n")
+        assert err == ("error: level-6000 word length is over the 1000000-bit "
+                       "cap\n")
 
     def test_deep_toeplitz_level_past_max_depth_is_a_cap_error(self,
                                                                 monkeypatch):
@@ -925,12 +922,44 @@ class TestSizeCaps:
             assert residuals["conserved"] and len(set(residuals["weights"])) == 1
 
     @pytest.mark.parametrize("level, code, message", [
-        ("1200", 4, "period index 49 exceeds max_depth 48"),
+        ("1200", 4, "period index 1200 exceeds max_depth 48"),
         ("-1", 3, "need 0 <= base <= level, got base=0, level=-1"),
     ], ids=["past-max-depth", "negative"])
     def test_frequencies_errors_keep_their_order(self, level, code, message):
         assert run(["frequencies", "--model", "toeplitz", "--r", "2",
                     "--level", level]) == (code, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("depth, level, code", [
+        ("1000", "1124", 4), ("1000", "6000", 4), ("1200", "1124", 5),
+        ("1200", "6000", 4), ("10000", "1124", 5), ("10000", "6000", 5),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["atlas", "--letter", "1"], ["atlas"], ["frequencies"], ["matrices"],
+    ], ids=["atlas-one-word", "atlas-all-words", "frequencies", "matrices"])
+    def test_level_size_rule_grid(self, argv, depth, level, code):
+        """Toeplitz r = 2 past max_depth exits 4 and, within it, a level
+        whose word length (or, for `matrices`, the next level's) has more
+        than 10^6 bits exits 5, alike in every command that reads a level."""
+        got, out, err = run([*argv, "--model", "toeplitz", "--r", "2",
+                             "--max-depth", depth, "--level", level])
+        assert (got, out) == (code, ""), err
+        read = int(level) + (argv == ["matrices"])  # the residuals' level
+        assert err == (f"error: period index {read} exceeds max_depth {depth}\n"
+                       if code == 4 else f"error: level-{read} word length is "
+                       "over the 1000000-bit cap\n")
+
+    @pytest.mark.parametrize("depth, codes", [("1200", (5, 5, 5)),
+                                              ("1000", (5, 5, 4))])
+    @pytest.mark.parametrize("flags", [["--letter", "1"], []],
+                             ids=["one-word", "all-words"])
+    def test_atlas_levels_under_the_rule(self, flags, depth, codes):
+        """Levels 647, 648 and 1123 pass the level-size rule; their words
+        are refused by the letter caps, or level 1123 past max_depth 1000."""
+        for level, code in zip(("647", "648", "1123"), codes):
+            got, out, err = run(["atlas", *flags, "--model", "toeplitz",
+                                 "--max-depth", depth, "--level", level])
+            assert (got, out) == (code, ""), err
+            assert err.count("\n") == 1 and len(err) < 200
 
     def test_frequencies_size_rule_boundary(self, monkeypatch):
         """For Toeplitz r = 2, the level-1123 word length has 998,533 bits
@@ -963,6 +992,23 @@ class TestSizeCaps:
         assert_short_error(out, err)
         assert "100001 paths exceeds the 100000 path cap" in err
 
+    @pytest.mark.parametrize("horizon, rows", [("3000000", "2164043"),
+                                               ("100000000", "72134753")])
+    def test_row_cap_exits_before_any_path(self, monkeypatch, horizon, rows):
+        """One path at dt = 1 crosses about T / (2 ln 2) rows and keeps each
+        in its occupancy: at T = 3 * 10^6 that peaked at 428 MB, and at the
+        step cap it ran out of a 1 GiB address space."""
+        def no_path(*args, **kwargs):
+            raise AssertionError("a path ran")
+
+        monkeypatch.setattr("hyptiling.diffusion.simulate_path", no_path)
+        code, out, err = run(["diffuse", "--model", "substitution", "--dt",
+                              "1", "--paths", "1", "--horizon", horizon])
+        assert code == 5
+        assert_short_error(out, err)
+        assert err == (f"error: {rows} rows exceeds the 1000000 row cap; a "
+                       "path crosses about T / (2 ln 2) rows\n")
+
 
 def run_cold(argv, limit=1 << 29, timeout=60):
     """(exit code, stdout, stderr, seconds) of `python -m hyptiling argv` in
@@ -984,7 +1030,8 @@ SUB_ONLY = ["--model", "substitution"]
 #: For each cap of `errors.CAPS` a command can reach: a command just under
 #: it with its exit code (None where it takes seconds: 10^5 paths run 7 s),
 #: and the same command just over it, with a part of its refusal.  Under the
-#: length-digits cap the level-647 word is built and still too long to print.
+#: entry budget the level-1123 word length is built and the word is still
+#: too long to print.
 CAP_EDGES = [
     ("entry_bits", ["matrices", *SUB_ONLY, "--scheme", "paper", "--level"],
      "11", 0, "12", "12 exceeds the 1000000-bit entry budget"),
@@ -998,8 +1045,8 @@ CAP_EDGES = [
      "1000001", "window of 1000001 letters is over the cap 1000000"),
     ("atlas_letters", ["atlas", *SUB_ONLY, "--level"], "12", 0, "13",
      "words hold 3188646 letters together, over the cap 2000000"),
-    ("length_digits", ["atlas", *TOEPLITZ_DEEP, "--letter", "1", "--level"],
-     "647", 5, "648", "level-648 word has at least 10^100018 letters"),
+    ("entry_bits", ["atlas", *TOEPLITZ_DEEP, "--letter", "1", "--level"],
+     "1123", 5, "1124", "level-1124 word length is over the 1000000-bit cap"),
     ("levels", ["measures", *SUB_ONLY, "--depth"], "10000", 0, "10001",
      "--depth 10001 is over the cap 10000"),
     ("levels", ["certify", *SUB_ONLY, "--from", "0", "--to"], "10000", 0,
@@ -1011,6 +1058,9 @@ CAP_EDGES = [
     ("trace_points", ["diffuse", *SUB_ONLY, "--paths", "1", "--dt", "1",
                       "--stride", "1", "--horizon"], "999999", 0, "1000000",
      "1000001 trace points exceeds the 1000000 point cap"),
+    ("rows", ["diffuse", *SUB_ONLY, "--paths", "1", "--dt", "1000",
+              "--horizon"], "1386294", 0, "1386295",
+     "1000001 rows exceeds the 1000000 row cap"),
     ("tiles", ["render", "--rows", "0", "0", "--x", "0"], "50000", 0, "50001",
      "window holds more than 50000 tiles"),
     ("outline_points", ["render", "--rows", "0", "0", "--x", "0"], "0.001",

@@ -13,8 +13,10 @@ from hyptiling import (
     PAPER,
     TRIANGLE,
     BudgetError,
+    CapError,
     DegeneracyError,
     DomainError,
+    ErgodicCount,
     InconclusiveError,
     SubstitutionModel,
     ToeplitzModel,
@@ -848,3 +850,38 @@ class TestIntegerRepresentation:
                               / decimal.Decimal(q.denominator)).ln())
                 got = projective_diameter(product)
                 assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+class TestLevelSizeRule:
+    @given(model=st.one_of(
+               st.builds(ToeplitzModel, st.integers(1, 6), st.integers(1, 40)),
+               fixed_point_rules()),
+           q=st.integers(1, 60), budget=st.integers(1, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_every_level_reader_refuses_alike(self, model, q, budget):
+        """Atlas words, mass residuals and frequencies refuse level q through
+        one rule: with the model's cap error past a Toeplitz max_depth, else
+        with one message exactly when the level-q length needs more bits
+        than the entry budget.  Lengths 2 and 4 give powers of two, at which
+        a length of 2**budget already needs budget + 1 bits."""
+        stab = ErgodicCount(count=1, status="stabilized", base_level=1,
+                            depth=3, tolerance=1e-6, max_matched_distance=0.0,
+                            clusters=(tuple(range(model.r)),), witnesses=())
+        calls = (lambda: atlas_words(model, q),
+                 lambda: mass_conservation_check(model, TRIANGLE, q - 1),
+                 lambda: measure_frequencies(model, TRIANGLE, 0, q, stab))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(errors.CAPS, "entry_bits", (budget, "bits"))
+            if q > getattr(model, "max_depth", q):
+                for call in calls:
+                    with pytest.raises(CapError):
+                        call()
+                return
+            got = [outcome(call) for call in calls]
+        refusal = ("budget", f"level-{q} word length is over the {budget}-bit "
+                   "cap")
+        if model.level_length(q).bit_length() > budget:
+            assert got == [refusal] * 3
+        else:
+            assert [type(x).__name__ for x in got] == [
+                "AtlasWord", "MassResiduals", "FrequencyResult"]
